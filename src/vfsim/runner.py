@@ -60,7 +60,7 @@ from .point_vortex import (
     polygon_config,
     write_trajectory_csv,
 )
-from .reduced import PhiState, evolve_bm, lattice_wavenumber
+from .reduced import PhiState, evolve_bm, lattice_wavenumber, write_energy_csv
 from .traveling_wave import (
     WaveParams,
     build_wave,
@@ -373,14 +373,7 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool,
         sample_every=cfg.sample_every,
         boundary_tol=cfg.boundary_tol,
     )
-    with open(os.path.join(out_dir, "energies.csv"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("t,E,E_GP,sup_dev,min_mod\n")
-        for s in samples:
-            fh.write(
-                f"{s.time:.17g},{s.E:.17g},{s.E_GP:.17g},"
-                f"{s.sup_dev:.17g},{s.min_mod:.17g}\n"
-            )
+    write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
     files = ["energies.csv"]
     if dump_fields:
         for i, st in enumerate(states):

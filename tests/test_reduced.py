@@ -21,7 +21,14 @@ from vfsim.errors import (
     PreconditionViolated,
     ZeroModulus,
 )
-from vfsim.grid import constant_field, derivative, make_field, make_grid
+from vfsim.grid import (
+    DEFAULT_BOUNDARY_TOL,
+    boundary_deviation,
+    constant_field,
+    derivative,
+    make_field,
+    make_grid,
+)
 from vfsim.point_vortex import polygon_config
 from vfsim.reduced import (
     EnergySample,
@@ -238,6 +245,72 @@ class TestStepAndEvolve:
         with pytest.raises(BoundaryContaminated):
             evolve_bm(PhiState(f, omega=1.0, time=0.0), 0.1, 1e-3)
 
+    def test_blocks_match_single_steps(self):
+        # samples split the 30 steps into blocks of 7, 7, 7, 7 and 2, whose
+        # inner half steps are fused; step_bm never fuses
+        g = make_grid(20.0, 512)
+        s = bump_state(g, amplitude=0.2)
+        dt = 2.0**-7  # so that T / n_steps is exactly dt
+        states, _ = evolve_bm(s, 30 * dt, dt, sample_every=7)
+        ref, current = [s], s
+        for n in range(30):
+            current = step_bm(current, dt)
+            if (n + 1) % 7 == 0 or n + 1 == 30:
+                ref.append(current)
+        assert [x.time for x in states] == [x.time for x in ref]
+        assert [x.time / dt for x in states] == [0, 7, 14, 21, 28, 30]
+        for a, b in zip(states, ref):
+            assert np.max(np.abs(a.phi.values - b.phi.values)) <= 1e-13
+
+    @pytest.mark.parametrize("center, steps", [(0.0, 50), (2.0, 37)])
+    def test_boundary_guard_fires_between_samples(self, center, steps):
+        # the dispersive tail reaches the ends of this short box inside the
+        # single sample block: at node 0 for the centred bump (deviation
+        # 1.4e-10 at step 50, 8.7e-11 at step 49), at node M-1 for the bump
+        # at sigma = 2 (1.1e-10 at step 37, node 0 still at 8.4e-11)
+        g = make_grid(10.0, 256)
+        phi = make_field(
+            g, 1.0 + 0.05 * np.exp(-((g.nodes - center) ** 2)), background=1.0
+        )
+        s = PhiState(phi, omega=1.0, time=0.0)
+        with pytest.raises(BoundaryContaminated) as info:
+            evolve_bm(s, 2.0, 1e-2, sample_every=1000)
+        current, n = s, 0
+        while boundary_deviation(current.phi) <= DEFAULT_BOUNDARY_TOL:
+            current = step_bm(current, 1e-2)
+            n += 1
+        assert n == steps
+        assert info.value.time == pytest.approx(current.time, abs=1e-12)
+
+    def test_modulus_floor_fires_at_midpoint_inside_block(self):
+        # with omega = 1/2 the collision profile's dip still deepens, from
+        # min |Phi| = 0.183 at t = 0.9 to about 0.10 near t = 0.95; with a
+        # single sample block only the midpoints of the steps are checked
+        g = make_grid(40.0, 1024)
+        s = PhiState(collision_state(g, 0.9).phi, omega=0.5, time=0.9)
+        with pytest.raises(ZeroModulus) as info:
+            evolve_bm(
+                s, 0.1, 1e-3, sample_every=1000, delta_mod=0.12,
+                boundary_tol=1e-6,
+            )
+        assert info.value.min_mod < 0.12
+        # the step-by-step run crosses the floor at the same step
+        current = s
+        with pytest.raises(ZeroModulus) as stepwise:
+            while True:
+                current = step_bm(current, 1e-3, delta_mod=0.12)
+        assert info.value.time == pytest.approx(stepwise.value.time, abs=1e-12)
+        assert info.value.time == pytest.approx(0.937, abs=1e-12)
+
+    def test_nan_trips_modulus_guard(self):
+        g = make_grid(20.0, 256)
+        values = 1.0 + 0.05 * np.exp(-g.nodes**2)
+        values[128] = np.nan
+        for omega in (1.0, 0.0):
+            s = PhiState(make_field(g, values, background=1.0), omega, 0.0)
+            with pytest.raises(ZeroModulus):
+                evolve_bm(s, 0.01, 1e-3)
+
     def test_energy_csv_header(self, tmp_path):
         g = make_grid(128.0, 1024)
         _, samples = evolve_bm(bump_state(g), 0.01, 1e-3)
@@ -332,6 +405,17 @@ class TestCollisionProfile:
         assert isinstance(sample, EnergySample)
         assert sample.min_mod == pytest.approx(0.0, abs=1e-12)
         assert sample.E > 0.0
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_energy_sample_matches_energies(self, omega):
+        # the sample shares one derivative between E and E_GP; the values
+        # must be those of the standalone functions, bit for bit
+        g = make_grid(40.0, 1024)
+        s = PhiState(collision_state(g, 0.5).phi, omega=omega, time=0.5)
+        sample = energy_sample(s)
+        assert sample.E == energy_bm(s.phi, omega)
+        assert sample.E_GP == energy_gp(s.phi, omega)
+        assert (sample.sup_dev, sample.min_mod) == modulus_deviation(s.phi)
 
 
 class TestReconstructFilaments:

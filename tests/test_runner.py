@@ -169,6 +169,21 @@ class TestScenarioRuns:
         header = (tmp_path / "energies.csv").read_text().splitlines()[0]
         assert header == "t,E,E_GP,sup_dev,min_mod"
 
+    def test_reduced_nan_profile_is_guarded(self, tmp_path):
+        cfg = scenario_defaults("reduced")
+        cfg.L, cfg.M, cfg.T = 30.0, 1024, 0.1
+        grid = make_grid(cfg.L, cfg.M)
+        values = 1.0 + 0.05 * np.exp(-grid.nodes**2) + 0j
+        values[cfg.M // 2] = np.nan
+        path = tmp_path / "profile.csv"
+        write_fields_csv(path, grid, [values])
+        cfg.pert_kind, cfg.path = "file", str(path)
+        out = tmp_path / "out"
+        report = run(cfg, out)
+        assert report.status == "NumericalGuard"
+        assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
+        assert load_status(out)["exit_code"] == 6
+
     def test_square_with_field_dump(self, tmp_path):
         cfg = parse_config_dict(
             {
@@ -195,11 +210,11 @@ class TestScenarioRuns:
         assert report.exit_code == EXIT_CODES["CollisionDetected"] == 3
         assert 0.95 <= report.hitting_times["collision_time"] <= 0.99
         assert report.hitting_times["sigma_star"] == pytest.approx(0.0)
-        # all four filaments reach the axis together, so the reported pair
-        # is whichever of the symmetric candidates crossed first
+        # the four outer filaments reach the central one (index 0) together,
+        # so the reported pair is whichever of (0, 1) ... (0, 4) crossed first
         pair = report.hitting_times["pair"]
-        assert len(pair) == 2 and pair[0] != pair[1]
-        assert all(0 <= j < 4 for j in pair)
+        assert len(pair) == 2
+        assert pair[0] == 0 and 1 <= pair[1] <= 4
         assert load_status(tmp_path)["exit_code"] == 3
 
     def test_traveling_wave_profile(self, tmp_path):
