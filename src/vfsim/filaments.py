@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoundaryContaminated,
     CollisionDetected,
     ConfigError,
+    NumericalGuard,
     PreconditionViolated,
     WrongConfig,
     WrongN,
@@ -37,7 +37,6 @@ from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
     Grid1D,
-    boundary_deviation,
     derivative,
     make_field,
     quad_trapezoid,
@@ -163,21 +162,6 @@ def _values_matrix(state: FilamentState) -> np.ndarray:
     return np.stack([f.values for f in state.u])
 
 
-def _pair_differences(
-    xs: np.ndarray, u_vals: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi_jk over sigma, X_jk) for the unordered pairs j < k.
-
-    Psi_jk is expanded as X_jk + u_jk rather than via Psi_j - Psi_k so the
-    small-perturbation regime keeps full relative accuracy.  The reversed
-    pair is the exact negation, Psi_kj = -Psi_jk.
-    """
-    j, k = pairs
-    xd = xs[j] - xs[k]
-    psi = xd[:, None] + (u_vals[j] - u_vals[k])
-    return psi, xd
-
-
 def _closest(
     dist: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
 ) -> tuple[int, int, int]:
@@ -197,49 +181,74 @@ def min_separation_field(
 
     A lone filament has no pairs and reports (inf, first node, (0, 0)).
     """
-    pairs = pair_indices(state.count)
-    psi, _ = _pair_differences(backbone(state), _values_matrix(state), pairs)
-    dist = np.abs(psi)
+    pairs = j, k = pair_indices(state.count)
+    xs, u_vals = backbone(state), _values_matrix(state)
+    # X_jk + u_jk, not Psi_j - Psi_k, keeps full relative accuracy for small u
+    dist = np.abs((xs[j] - xs[k])[:, None] + (u_vals[j] - u_vals[k]))
     if not dist.size:
         return math.inf, float(state.grid.nodes[0]), (0, 0)
     j, k, i = _closest(dist, pairs)
     return float(dist.min()), float(state.grid.nodes[i]), (j, k)
 
 
-def _rhs_values(
-    u_vals: np.ndarray,
-    xs: np.ndarray,
-    circulations: np.ndarray,
-    threshold: float,
-    time: float,
-    nodes: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Interaction term on raw arrays; raises CollisionDetected below the
-    separation threshold.
+def _pair_kernel(circulations: np.ndarray, threshold: float, nodes: np.ndarray):
+    """The interaction term on raw arrays, with its buffers allocated once.
 
-    Each unordered pair is evaluated once and enters both filaments' sums
-    (term_kj = -term_jk, exact under negation).  Every filament's sum runs
-    over k in ascending order: at a symmetric collapse several pairs tie up
-    to roundoff, and this order decides which of them trips the detector.
+    The returned rhs(u_vals, xs, time, out) writes into ``out``; it raises
+    CollisionDetected below the separation threshold and NumericalGuard on a
+    NaN separation.  Each unordered pair is evaluated once and enters both
+    filaments' sums (term_kj = -term_jk, exact under negation).  Every
+    filament's sum runs over k in ascending order: at a symmetric collapse
+    several pairs tie up to roundoff, and this order decides which of them
+    trips the detector.
     """
-    psi, xd = _pair_differences(xs, u_vals, pairs)
-    dist = np.abs(psi)
-    if dist.size and float(dist.min()) < threshold:
-        j, k, i = _closest(dist, pairs)
-        raise CollisionDetected(time, float(nodes[i]), (j, k))
-    # z/|z|^2 == 1/conj(z)
-    term = 1.0 / np.conj(psi) - (1.0 / np.conj(xd))[:, None]
-    j, k = pairs
-    on_j = circulations[k][:, None] * term
-    on_k = circulations[j][:, None] * term
-    out = np.zeros_like(u_vals)
-    # row-major pair order reaches row j through (a, j), a < j, before
-    # (j, b), b > j, so each row's sum over k is ascending
-    for p, (a, b) in enumerate(zip(j.tolist(), k.tolist())):
-        out[a] += on_j[p]
-        out[b] -= on_k[p]
-    return out
+    n, m = circulations.size, nodes.size
+    pairs = j, k = pair_indices(n)
+    # in row-major order the pairs (a, a+1..n-1) are rows[a]:rows[a+1];
+    # reordered by column, the pairs (0..c-1, c) are cols[c]:cols[c+1]
+    rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
+    cols = [c * (c - 1) // 2 for c in range(n + 1)]
+    by_column = np.array(
+        [rows[a] + c - a - 1 for c in range(n) for a in range(c)], dtype=np.intp
+    )
+    g_by_column = circulations[k[by_column]][:, None]
+    g_by_row = circulations[j][:, None]
+    psi, term = (np.empty((j.size, m), dtype=np.complex128) for _ in range(2))
+    dist = np.empty((j.size, m))
+
+    def rhs(u_vals, xs, time, out):
+        xd = xs[j] - xs[k]
+        for a in range(n - 1):
+            np.subtract(u_vals[a], u_vals[a + 1:], out=psi[rows[a]:rows[a + 1]])
+        np.add(xd[:, None], psi, out=psi)
+        np.abs(psi, out=dist)
+        if dist.size:
+            low = float(dist.min())
+            if math.isnan(low):
+                raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
+            if low < threshold:
+                a, b, i = _closest(dist, pairs)
+                raise CollisionDetected(time, float(nodes[i]), (a, b))
+        # z/|z|^2 == 1/conj(z)
+        np.conjugate(psi, out=term)
+        np.divide(1.0, term, out=term)
+        np.subtract(term, (1.0 / np.conj(xd))[:, None], out=term)
+        # psi is free now: Gamma_k term_jk, for row j, gathered by column
+        # (the indices are in range; mode "raise" would buffer the output)
+        np.take(term, by_column, axis=0, out=psi, mode="clip")
+        np.multiply(g_by_column, psi, out=psi)
+        # Gamma_j term_jk, for row k, in row blocks
+        np.multiply(g_by_row, term, out=term)
+        out.fill(0.0)
+        # row j subtracts its pairs with k < j, then adds those with k > j,
+        # so each row's sum over k is ascending
+        for c in range(n - 1):
+            np.subtract(out[c + 1:], term[rows[c]:rows[c + 1]], out=out[c + 1:])
+        for c in range(1, n):
+            np.add(out[:c], psi[cols[c]:cols[c + 1]], out=out[:c])
+        return out
+
+    return rhs
 
 
 def interaction_rhs(
@@ -250,18 +259,15 @@ def interaction_rhs(
     The linear dispersion Gamma_j d^2/dsigma^2 is handled separately by the
     splitting integrator; this is only the pair-interaction sum.  Raises
     CollisionDetected when two filaments approach within delta_min times the
-    backbone spacing.
+    backbone spacing, and NumericalGuard on a NaN separation.
     """
-    threshold = delta_min * min_separation(state.cfg)
-    vals = _rhs_values(
-        _values_matrix(state),
-        backbone(state),
+    rhs = _pair_kernel(
         state.cfg.circulations,
-        threshold,
-        state.time,
+        delta_min * min_separation(state.cfg),
         state.grid.nodes,
-        pair_indices(state.count),
     )
+    u_vals = _values_matrix(state)
+    vals = rhs(u_vals, backbone(state), state.time, np.empty_like(u_vals))
     return [make_field(state.grid, row) for row in vals]
 
 
@@ -322,7 +328,8 @@ def energies(state: FilamentState) -> EnergyReport:
     instead of |X + u|^2 - |X|^2) so small perturbations are not lost to
     cancellation, and the grouping E = H + I is cross-checked against the
     single-integrand form kinetic + (1/2) sum_{pairs} Gamma_j Gamma_k
-    int (ratio - 1 - ln ratio), the sum running over unordered pairs.
+    int (ratio - 1 - ln ratio), the sum running over unordered pairs.  A
+    disagreement, NaN included, raises NumericalGuard.
     """
     grid = state.grid
     g = state.cfg.circulations
@@ -373,9 +380,11 @@ def energies(state: FilamentState) -> EnergyReport:
     direct = kinetic + 0.25 * float(
         quad_trapezoid(grid, np.sum(gg * (rel - log_ratio), axis=(0, 1)))
     )
-    assert abs(e_quant - direct) <= 1e-12 * max(1.0, abs(e_quant)), (
-        f"energy groupings disagree: {e_quant!r} vs {direct!r}"
-    )
+    if not abs(e_quant - direct) <= 1e-12 * max(1.0, abs(e_quant)):
+        raise NumericalGuard(
+            f"energy groupings disagree at t={state.time:.6g}: "
+            f"{e_quant:.17g} vs {direct:.17g}"
+        )
 
     sup_ratio_dev = float(np.max(np.abs(np.where(np.isfinite(rel), rel, 0.0))))
 
@@ -434,8 +443,11 @@ class EvolutionResult:
     energy_cap: float | None = None
 
 
-def _default_energy_cap(state: FilamentState) -> float | None:
-    """10x the initial energy scale, armed only for positive circulations.
+def default_energy_cap(
+    state: FilamentState, factor: float = ENERGY_CAP_FACTOR
+) -> float | None:
+    """``factor`` times the initial energy scale, armed only for positive
+    circulations.
 
     For a plain 4-filament configuration the scale is tilde_E0 (which also
     sees the diagonal sums v, w); otherwise it is E(0).
@@ -450,7 +462,7 @@ def _default_energy_cap(state: FilamentState) -> float | None:
         scale = energies(state).E
     if scale <= 0.0:
         return None
-    return ENERGY_CAP_FACTOR * scale
+    return factor * scale
 
 
 def evolve(
@@ -470,27 +482,31 @@ def evolve(
     t+dt), and a second half linear step.  dt is limited only by splitting
     accuracy; the linear part is exact at any step size.
 
+    The pair kernel's buffers, the spectrum, v, the stage input and k1..k4
+    are allocated once per run and written through ``out=`` calls in the
+    order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so the
+    result is bit for bit that of fresh temporaries.  The state at the start
+    of a step is overwritten only once the step has succeeded.
+
     The run halts early with status CollisionDetected when filaments approach
     within delta_min times the backbone spacing, EnergyCapExceeded when a
     sampled E(t) exceeds the cap (default 10x the initial scale; pass
     energy_cap to override, 0 or inf to disarm), and BoundaryContaminated
-    when a perturbation stops being flat at the domain ends.  States and
-    reports are recorded at t = 0, every ``sample_every`` steps, at the final
-    time, and at the halt.
+    when a perturbation stops being flat at the domain ends.  A NaN state
+    raises NumericalGuard.  States and reports are recorded at t = 0, every
+    ``sample_every`` steps, at the final time, and at the halt.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if energy_cap is None:
-        energy_cap = _default_energy_cap(state)
+        energy_cap = default_energy_cap(state)
     if energy_cap is not None and not 0.0 < energy_cap < math.inf:
         energy_cap = None
 
     cfg = state.cfg
     g = cfg.circulations
     omega = cfg.omega if cfg.omega is not None else 0.0
-    threshold = delta_min * min_separation(cfg)
     grid = state.grid
-    nodes = grid.nodes
     x0 = cfg.positions
 
     n_steps = max(int(round(T / dt)), 0)
@@ -504,16 +520,20 @@ def evolve(
     reports = [energies(state)]
     u_vals = _values_matrix(state)
     half_phase = np.exp(-1j * np.outer(g, grid.wavenumbers**2) * (0.5 * h))
-    pairs = pair_indices(state.count)
+    rhs = _pair_kernel(g, delta_min * min_separation(cfg), grid.nodes)
+    spec, v, stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(7))
 
-    def half_linear(vals: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(vals, axis=1)
-        spec *= half_phase
-        return np.fft.ifft(spec, axis=1)
+    def half_linear(vals: np.ndarray, out: np.ndarray) -> None:
+        np.fft.fft(vals, axis=1, out=spec)
+        np.multiply(spec, half_phase, out=spec)
+        np.fft.ifft(spec, axis=1, out=out)
 
-    def rate(vals: np.ndarray, t: float) -> np.ndarray:
+    def rate(vals: np.ndarray, t: float, out: np.ndarray) -> None:
         xs = np.exp(1j * omega * t) * x0
-        return 1j * _rhs_values(vals, xs, g, threshold, t, nodes, pairs)
+        np.multiply(1j, rhs(vals, xs, t, out), out=out)
+
+    def advance(k: np.ndarray, step: float) -> np.ndarray:
+        return np.add(v, np.multiply(step, k, out=stage), out=stage)
 
     status = STATUS_COMPLETED
     halt_time = None
@@ -523,13 +543,16 @@ def evolve(
     for n in range(n_steps):
         t = state.time + n * h
         try:
-            v = half_linear(u_vals)
-            k1 = rate(v, t)
-            k2 = rate(v + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rate(v + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rate(v + h * k3, t + h)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u_vals = half_linear(v)
+            half_linear(u_vals, v)
+            rate(v, t, k1)
+            rate(advance(k1, 0.5 * h), t + 0.5 * h, k2)
+            rate(advance(k2, 0.5 * h), t + 0.5 * h, k3)
+            rate(advance(k3, h), t + h, k4)
+            np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
+            np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
+            np.add(stage, k4, out=stage)
+            np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
+            half_linear(v, u_vals)
         except CollisionDetected as exc:
             status = STATUS_COLLISION
             halt_time = exc.time

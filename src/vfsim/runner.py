@@ -42,8 +42,8 @@ from .errors import (
 from .filaments import (
     FilamentState,
     collision_initial_state,
+    default_energy_cap,
     dilation_state,
-    energies,
     evolve,
     filament_state,
     growth_monitors,
@@ -392,19 +392,6 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     return report
 
 
-def _energy_cap(cfg: ScenarioConfig, state: FilamentState) -> float | None:
-    """Cap at factor x the initial scale, armed for positive circulations."""
-    if np.any(state.cfg.circulations <= 0.0):
-        return None
-    if state.count == 4 and not state.cfg.has_center:
-        scale = tilde_E0(state)
-    else:
-        scale = energies(state).E
-    if scale <= 0.0:
-        return None
-    return cfg.energy_cap_factor * scale
-
-
 def _write_filament_outputs(out_dir, result, dump_fields: bool) -> list:
     write_reports_csv(os.path.join(out_dir, "energies.csv"), result.reports)
     files = ["energies.csv"]
@@ -420,7 +407,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool,
                 threads: int) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
-    cap = _energy_cap(cfg, state)
+    cap = default_energy_cap(state, cfg.energy_cap_factor)
     is_plain_square = state.count == 4 and not state.cfg.has_center
 
     constants: dict = {}

@@ -3,7 +3,9 @@
 Covered here:
   * the interaction term: exact vanishing on unperturbed and identically
     perturbed data, the closure property on shared-profile (dilation)
-    data, and a near-miss variant of that closure as a negative control,
+    data, and a near-miss variant of that closure as a negative control;
+    property tests: bit-for-bit equality with an ordered double loop,
+    relabelling equivariance and pair antisymmetry,
   * energy bookkeeping: agreement with N copies of the single-profile
     energy on dilation data, the rotation identity 2I = omega A, and the
     square / segment / hexagon energy identities together with a
@@ -19,20 +21,40 @@ Covered here:
     identity and diagonal-sum bounds, the product-ansatz conjugacy with
     the single-profile integrator, the self-similar collision scenario
     (field accuracy and detection geometry), the run guards, and
-    restart chaining.
+    restart chaining,
+  * the run's reused buffers: evolve equals Strang steps written with
+    fresh temporaries bit for bit, repeated runs agree, returned states
+    and fields own their memory, and a collision halt keeps the state at
+    the start of the failing step,
+  * NaN and inf data end as NumericalGuard in the kernel, in energies()
+    (also under python -O) and in evolve().
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vfsim.errors import CollisionDetected, ConfigError, WrongConfig, WrongN
+import vfsim
+from vfsim.errors import (
+    CollisionDetected,
+    ConfigError,
+    NumericalGuard,
+    WrongConfig,
+    WrongN,
+)
 from vfsim.filaments import (
+    FilamentState,
     backbone,
     check_Lv_vanishes,
     coercivity_check,
     collision_initial_state,
+    default_energy_cap,
     dilation_state,
     energies,
     evolve,
@@ -50,7 +72,7 @@ from vfsim.filaments import (
     zero_perturbations,
 )
 from vfsim.grid import make_field, make_grid, quad_trapezoid
-from vfsim.point_vortex import polygon_config
+from vfsim.point_vortex import VortexConfig, min_separation, polygon_config
 from vfsim.reduced import PhiState, analytic_collision_phi, energy_bm, evolve_bm
 
 GRID = make_grid(30.0, 1024)
@@ -141,6 +163,104 @@ class TestInteractionRhs:
         # a vanishing profile puts all filaments on top of each other
         with pytest.raises(CollisionDetected):
             dilation_state(SQUARE, phi)
+
+
+def naive_rhs(state):
+    """The interaction as an ordered double loop, and each row's sum of |terms|.
+
+    Row j accumulates acc = acc + Gamma_k (1/conj(X_jk + (u_j - u_k))
+    - 1/conj(X_jk)) for k ascending, every operation on arrays.
+    """
+    xs = backbone(state)
+    g = state.cfg.circulations
+    u = [f.values for f in state.u]
+    rows, sizes = [], []
+    for j in range(state.count):
+        acc = np.zeros_like(u[j])
+        size = np.zeros(u[j].shape)
+        for k in range(state.count):
+            if k == j:
+                continue
+            xjk = xs[j:j + 1] - xs[k:k + 1]
+            term = g[k] * (1.0 / np.conj(xjk + (u[j] - u[k])) - 1.0 / np.conj(xjk))
+            acc = acc + term
+            size += np.abs(term)
+        rows.append(acc)
+        sizes.append(size)
+    return np.array(rows), np.array(sizes)
+
+
+KERNEL_GRID = make_grid(10.0, 64)
+
+
+@st.composite
+def kernel_states(draw):
+    """2 to 7 filaments with mixed-sign circulations on a rotated backbone.
+
+    Each perturbation stays within 0.3 of the smallest backbone spacing, so
+    no pair comes near the collision threshold.
+    """
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    omega = draw(st.floats(-2.0, 2.0))
+    time = draw(st.floats(0.0, 3.0))
+    turns = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    positions = np.exp(1j * angle) * rng.uniform(0.5, 2.0, n) * np.exp(
+        2j * np.pi * turns
+    )
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vortex = VortexConfig(
+        positions=positions,
+        circulations=signs * rng.uniform(0.2, 2.0, n),
+        omega=omega,
+    )
+    shape = (n, KERNEL_GRID.num_points)
+    radius = 0.3 * min_separation(vortex) * np.sqrt(rng.uniform(0.0, 1.0, shape))
+    u = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, radius.shape))
+    fields = [make_field(KERNEL_GRID, row) for row in u]
+    return filament_state(fields, vortex, time=time)
+
+
+def rhs_matrix(state):
+    return np.array([f.values for f in interaction_rhs(state)])
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kernel_states())
+    def test_bitwise_equal_to_ordered_loop(self, state):
+        expected, _ = naive_rhs(state)
+        assert np.array_equal(rhs_matrix(state), expected)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(kernel_states(), st.randoms(use_true_random=False))
+    def test_relabelling_equivariance(self, state, random):
+        perm = list(range(state.count))
+        random.shuffle(perm)
+        cfg = state.cfg
+        relabelled = filament_state(
+            [state.u[p] for p in perm],
+            VortexConfig(
+                positions=cfg.positions[perm],
+                circulations=cfg.circulations[perm],
+                omega=cfg.omega,
+            ),
+            time=state.time,
+        )
+        rhs = rhs_matrix(state)
+        _, sizes = naive_rhs(state)
+        gap = np.abs(rhs_matrix(relabelled) - rhs[perm])
+        assert np.all(gap <= 1e-12 * sizes[perm])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(kernel_states())
+    def test_pair_antisymmetry(self, state):
+        """Each pair enters with Gamma_j Gamma_k (term_jk + term_kj) = 0."""
+        g = state.cfg.circulations
+        _, sizes = naive_rhs(state)
+        total = np.abs(g @ rhs_matrix(state))
+        assert np.all(total <= 1e-12 * (np.abs(g) @ sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +559,14 @@ class TestEvolve:
         assert result.halt_time is not None
         assert result.energy_cap == pytest.approx(scale / 2)
 
+    def test_default_energy_cap_factor(self):
+        square = random_state(SQUARE, GRID, 0.05, seed=2)
+        assert default_energy_cap(square, 3.0) == 3.0 * tilde_E0(square)
+        triangle = random_state(TRIANGLE, GRID, 0.05, seed=2)
+        assert default_energy_cap(triangle) == 10.0 * energies(triangle).E
+        mixed = collision_initial_state(4, GRID)
+        assert default_energy_cap(mixed, 3.0) is None
+
     def test_boundary_guard(self):
         narrow = make_grid(10.0, 256)
         vals = 0.05 * np.exp(-((narrow.nodes / 3.0) ** 2))
@@ -510,3 +638,174 @@ class TestCollisionScenario:
         assert min(seps) < 0.05
         # monotone in time at the sample resolution until the halt
         assert all(b <= a + 1e-9 for a, b in zip(seps, seps[1:])), seps
+
+
+# ---------------------------------------------------------------------------
+# the run's reused buffers never leak into what it returns
+# ---------------------------------------------------------------------------
+
+def state_arrays(states):
+    return [np.array([f.values for f in st.u]) for st in states]
+
+
+def reference_states(state, steps, dt):
+    """Strang steps written as plain expressions with fresh temporaries,
+    on the ordered-loop interaction."""
+    grid, cfg = state.grid, state.cfg
+    phase = np.exp(
+        -1j * np.outer(cfg.circulations, grid.wavenumbers**2) * (0.5 * dt)
+    )
+
+    def half(vals):
+        return np.fft.ifft(np.fft.fft(vals, axis=1) * phase, axis=1)
+
+    def rate(vals, t):
+        fields = tuple(make_field(grid, row) for row in vals)
+        return 1j * naive_rhs(FilamentState(u=fields, cfg=cfg, time=t))[0]
+
+    u = np.array([f.values for f in state.u])
+    out = []
+    for n in range(steps):
+        t = state.time + n * dt
+        v = half(u)
+        k1 = rate(v, t)
+        k2 = rate(v + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rate(v + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rate(v + dt * k3, t + dt)
+        u = half(v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out.append(u)
+    return out
+
+
+class TestWorkspaceSafety:
+    def test_bitwise_equal_to_fresh_temporaries(self):
+        rng = np.random.default_rng(8)
+        vortex = VortexConfig(
+            positions=np.array([0.0, 1.5, 1j, -1.2 + 0.3j, -0.5j]),
+            circulations=np.array([1.0, -0.7, 2.0, 0.4, -1.1]),
+            omega=0.3,
+        )
+        grid = make_grid(20.0, 256)
+        fields = [
+            make_field(
+                grid,
+                0.05 * complex(*rng.standard_normal(2))
+                * np.exp(-((grid.nodes - rng.uniform(-2.0, 2.0)) ** 2)),
+            )
+            for _ in range(vortex.count)
+        ]
+        state = filament_state(fields, vortex, time=0.2)
+        dt = 2.0**-8
+        result = evolve(state, 6 * dt, dt, sample_every=1)
+        expected = reference_states(state, 6, dt)
+        assert len(result.states) == 7
+        for got, want in zip(state_arrays(result.states[1:]), expected):
+            assert np.array_equal(got, want)
+
+    def test_repeated_runs_identical(self):
+        state = random_state(TRIANGLE, GRID, 0.05, seed=4)
+        first = evolve(state, 0.05, 1e-3, sample_every=20)
+        second = evolve(state, 0.05, 1e-3, sample_every=20)
+        assert first.reports == second.reports
+        for a, b in zip(state_arrays(first.states), state_arrays(second.states)):
+            assert np.array_equal(a, b)
+
+    def test_mutating_outputs_changes_no_later_result(self):
+        state = random_state(SQUARE, GRID, 0.05, seed=5)
+        first = evolve(state, 0.05, 1e-3, sample_every=20)
+        kept = state_arrays(first.states)
+        for st_ in first.states[1:]:
+            for f in st_.u:
+                f.values[:] = 7.0
+        again = evolve(state, 0.05, 1e-3, sample_every=20)
+        for a, b in zip(kept, state_arrays(again.states)):
+            assert np.array_equal(a, b)
+
+        rhs = interaction_rhs(state)
+        kept_rhs = np.array([f.values for f in rhs])
+        for f in rhs:
+            f.values[:] = 7.0
+        assert np.array_equal(
+            np.array([f.values for f in interaction_rhs(state)]), kept_rhs
+        )
+
+    def test_returned_states_share_no_memory(self):
+        state = random_state(TRIANGLE, GRID, 0.05, seed=6)
+        result = evolve(state, 0.03, 1e-3, sample_every=10)
+        values = [f.values for st_ in result.states for f in st_.u]
+        for i, a in enumerate(values):
+            for b in values[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_collision_keeps_state_at_start_of_failing_step(self):
+        """The kept snapshot equals a run that stops exactly there.
+
+        dt = 2^-8 makes every step time exact, so the shorter run takes
+        the same steps.
+        """
+        grid = make_grid(20.0, 256)
+        state = collision_initial_state(4, grid)
+        dt = 2.0**-8
+        guards = dict(sample_every=1000, delta_min=0.02, boundary_tol=1e-6)
+        result = evolve(state, 1.25, dt, **guards)
+        assert result.status == "CollisionDetected"
+        kept = result.states[-1]
+        # the halt is a stage time of the step that starts at kept.time
+        assert result.halt_time - kept.time in (0.0, dt / 2, dt)
+        shorter = evolve(state, kept.time, dt, **guards)
+        assert shorter.status == "Completed"
+        assert shorter.states[-1].time == kept.time
+        assert np.array_equal(
+            state_arrays([kept])[0], state_arrays([shorter.states[-1]])[0]
+        )
+        assert result.reports[-1] == shorter.reports[-1]
+
+
+# ---------------------------------------------------------------------------
+# NaN and inf end as NumericalGuard
+# ---------------------------------------------------------------------------
+
+def poisoned_state(value):
+    grid = make_grid(20.0, 256)
+    rows = [
+        0.01 * np.exp(-((grid.nodes - c) ** 2)) + 0j for c in (0.0, 1.0, -1.0, 0.5)
+    ]
+    rows[2][100] = value
+    return filament_state([make_field(grid, r) for r in rows], SQUARE)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
+    def test_energies(self, value):
+        with pytest.raises(NumericalGuard):
+            energies(poisoned_state(value))
+
+    def test_kernel(self):
+        with pytest.raises(NumericalGuard, match="NaN filament separation"):
+            interaction_rhs(poisoned_state(np.nan))
+
+    @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
+    def test_evolve(self, value):
+        with pytest.raises(NumericalGuard):
+            evolve(poisoned_state(value), 0.01, 1e-3, energy_cap=0.0)
+
+    def test_energies_guard_survives_optimize_flag(self):
+        code = (
+            "import numpy as np\n"
+            "from test_filaments import poisoned_state\n"
+            "from vfsim.errors import NumericalGuard\n"
+            "from vfsim.filaments import energies\n"
+            "try:\n"
+            "    energies(poisoned_state(np.nan))\n"
+            "except NumericalGuard:\n"
+            "    print('guarded')\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(vfsim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "guarded"

@@ -7,7 +7,8 @@ Covered here:
   * per-scenario runs on small grids: emitted files, status.json
     structure (status, constants, versions, acceptance tag), exit codes,
   * guard mapping: a collision maps to exit code 3 with hitting times,
-    config problems discovered at run time map to exit code 2,
+    config problems discovered at run time map to exit code 2, NaN data
+    map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs, and
     threaded sweeps match serial ones byte for byte,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
@@ -183,6 +184,46 @@ class TestScenarioRuns:
         assert report.status == "NumericalGuard"
         assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
         assert load_status(out)["exit_code"] == 6
+
+    def test_square_nan_field_is_guarded(self, tmp_path):
+        grid = make_grid(20.0, 256)
+        rows = [
+            0.01 * np.exp(-((grid.nodes - c) ** 2)) + 0j
+            for c in (0.0, 1.0, -1.0, 0.5)
+        ]
+        rows[2][100] = np.nan
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, grid, rows)
+        cfg = parse_config_dict(
+            {
+                "scenario": "square",
+                "grid": {"L": 20.0, "M": 256},
+                "perturbation": {"kind": "file", "path": str(path)},
+                "time": {"T": 0.05, "dt": 1e-3},
+            }
+        )
+        out = tmp_path / "out"
+        report = run(cfg, out)
+        assert report.status == "NumericalGuard"
+        assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
+        assert load_status(out)["exit_code"] == 6
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0])
+    def test_energy_cap_factor_sets_cap(self, tmp_path, factor):
+        cfg = parse_config_dict(
+            {
+                "scenario": "square",
+                "grid": {"L": 20.0, "M": 256},
+                "perturbation": {"kind": "gaussian", "amp": 0.01, "seed": 0},
+                "guards": {"energy_cap_factor": factor},
+                "time": {"T": 0.05, "dt": 1e-3, "sample_every": 10},
+            }
+        )
+        report = run(cfg, tmp_path)
+        assert report.status == "EnergyCapExceeded"
+        assert report.constants["energy_cap"] == pytest.approx(
+            factor * report.constants["tilde_E0"], rel=1e-15
+        )
 
     def test_square_with_field_dump(self, tmp_path):
         cfg = parse_config_dict(
