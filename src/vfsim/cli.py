@@ -25,19 +25,11 @@ import argparse
 import os
 import sys
 
-from .config import parse_config, scenario_defaults
+from .config import SCENARIOS, parse_config, scenario_defaults
 from .errors import ConfigError
 from .runner import run
 
-_SUBCOMMANDS = (
-    "point-vortex",
-    "stability",
-    "reduced",
-    "square",
-    "collision",
-    "traveling-wave",
-    "helix",
-)
+_SUBCOMMANDS = tuple(name.replace("_", "-") for name in SCENARIOS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON scenario config (default: scenario preset)")
         p.add_argument("--out", metavar="DIR", default="out",
                        help="output directory (default: out)")
-        p.add_argument("--threads", metavar="N", type=int, default=1,
-                       help="worker threads for independent sweep members")
         p.add_argument("--dump-fields", action="store_true",
                        help="also dump sampled fields as fields_t*.csv")
         p.add_argument("--seed", metavar="S", type=int, default=None,
@@ -116,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     report = run(
         cfg, out,
         dump_fields=args.dump_fields,
-        threads=args.threads,
         sweep=sweep,
         out_name=out_name,
     )

@@ -107,7 +107,7 @@ def filament_state(
         )
     grid = u[0].grid
     for j, f in enumerate(u):
-        if f.grid is not grid and f.grid != grid:
+        if f.grid != grid:
             raise ConfigError("u", f"field {j} lives on a different grid")
         if f.background != 0.0:
             raise ConfigError(
@@ -162,6 +162,20 @@ def _values_matrix(state: FilamentState) -> np.ndarray:
     return np.stack([f.values for f in state.u])
 
 
+def _pair_differences(
+    state: FilamentState,
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """(pairs, X_jk, u_jk) over the unordered pairs j < k in row-major order.
+
+    This is the one pair layout of every snapshot quantity: X_jk comes as a
+    (P, 1) column and u_jk as (P, M) rows.  X_jk + u_jk, not Psi_j - Psi_k,
+    keeps full relative accuracy for small u.
+    """
+    pairs = j, k = pair_indices(state.count)
+    xs, u_vals = backbone(state), _values_matrix(state)
+    return pairs, (xs[j] - xs[k])[:, None], u_vals[j] - u_vals[k]
+
+
 def _closest(
     dist: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
 ) -> tuple[int, int, int]:
@@ -181,10 +195,8 @@ def min_separation_field(
 
     A lone filament has no pairs and reports (inf, first node, (0, 0)).
     """
-    pairs = j, k = pair_indices(state.count)
-    xs, u_vals = backbone(state), _values_matrix(state)
-    # X_jk + u_jk, not Psi_j - Psi_k, keeps full relative accuracy for small u
-    dist = np.abs((xs[j] - xs[k])[:, None] + (u_vals[j] - u_vals[k]))
+    pairs, xd, ud = _pair_differences(state)
+    dist = np.abs(xd + ud)
     if not dist.size:
         return math.inf, float(state.grid.nodes[0]), (0, 0)
     j, k, i = _closest(dist, pairs)
@@ -282,12 +294,13 @@ class EnergyReport:
     All pair quantities sum over unordered pairs {j,k}, each pair counted
     once.  ``T_quant`` is the quadratic pair moment sum Gamma_j Gamma_k
     int (|Psi_jk|^2 - |X_jk|^2); ``I`` is half the same sum weighted by
-    1/|X_jk|^2; ``E = H + I`` is the conserved energy candidate.  Counting
-    each pair once (rather than both ordered copies) is what makes E land
-    exactly on N * energy_bm for dilation data and stay constant in the
-    conservation regimes; the price is that the dilation identity for I
-    reads 2I = omega * A.  ``vw_norms`` holds (||u_1+u_3||, ||u_2+u_4||)
-    for plain 4-filament configurations and None otherwise.
+    1/|X_jk|^2; ``E = H + I``.  H is conserved by the flow.  E is
+    conserved only where I is, for example when all |X_jk| are equal (then
+    I is a multiple of T), not for generic data.  Counting each pair once
+    is what makes E land exactly on N * energy_bm for dilation data; the
+    price is that the dilation identity for I reads 2I = omega * A.
+    ``vw_norms`` holds (||u_1+u_3||, ||u_2+u_4||) for plain 4-filament
+    configurations and None otherwise.
     """
 
     time: float
@@ -317,83 +330,76 @@ def _log_ratio(rel: np.ndarray) -> np.ndarray:
     )
 
 
-def _l2_norm(grid: Grid1D, values: np.ndarray) -> float:
-    return math.sqrt(float(quad_trapezoid(grid, np.abs(values) ** 2)))
+def _sq_norms(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row of a (rows, M) array."""
+    return grid.spacing * np.sum(np.abs(rows) ** 2, axis=-1)
+
+
+def _pair_terms(
+    state: FilamentState,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(kinetic, Gamma_j Gamma_k, |X_jk|^2, density) of a snapshot.
+
+    kinetic = (1/2) sum_j Gamma_j^2 ||d u_j/dsigma||^2.  The pair terms are
+    (P, 1), (P, 1) and (P, M) rows in the layout of ``_pair_differences``;
+    the density |Psi_jk|^2 - |X_jk|^2 is expanded around the backbone as
+    2 Re(conj(X_jk) u_jk) + |u_jk|^2 so small perturbations are not lost
+    to cancellation.
+    """
+    g = state.cfg.circulations
+    du = np.stack([derivative(f).values for f in state.u])
+    kinetic = 0.5 * float(g**2 @ _sq_norms(state.grid, du))
+    (j, k), xd, ud = _pair_differences(state)
+    density = 2.0 * (np.conj(xd) * ud).real + np.abs(ud) ** 2
+    return kinetic, (g[j] * g[k])[:, None], np.abs(xd) ** 2, density
 
 
 def energies(state: FilamentState) -> EnergyReport:
     """Compute the full EnergyReport of a snapshot.
 
-    All densities are expanded around the backbone (2 Re(conj(X) u) + |u|^2
-    instead of |X + u|^2 - |X|^2) so small perturbations are not lost to
-    cancellation, and the grouping E = H + I is cross-checked against the
-    single-integrand form kinetic + (1/2) sum_{pairs} Gamma_j Gamma_k
-    int (ratio - 1 - ln ratio), the sum running over unordered pairs.  A
-    disagreement, NaN included, raises NumericalGuard.
+    The grouping E = H + I is cross-checked against the single-integrand
+    form kinetic + (1/2) sum_{pairs} Gamma_j Gamma_k int (ratio - 1 -
+    ln ratio), the sum running over unordered pairs.  A disagreement, NaN
+    included, raises NumericalGuard.  A lone filament has no pairs and
+    reports min_sep = inf and sup_ratio_dev = 0.
     """
     grid = state.grid
     g = state.cfg.circulations
     xs = backbone(state)
     u_vals = _values_matrix(state)
-    n = xs.size
-
-    kinetic = 0.0
-    for j, f in enumerate(state.u):
-        du = derivative(f).values
-        kinetic += 0.5 * g[j] ** 2 * float(
-            quad_trapezoid(grid, np.abs(du) ** 2)
-        )
+    kinetic, gg, xd_sq, pair_dens = _pair_terms(state)
 
     # per-filament density |Psi_j|^2 - |X_j|^2
     self_dens = 2.0 * (np.conj(xs)[:, None] * u_vals).real + np.abs(u_vals) ** 2
     a_quant = float(quad_trapezoid(grid, np.sum(g[:, None] * self_dens, axis=0)))
 
-    xd = xs[:, None] - xs[None, :]
-    ud = u_vals[:, None, :] - u_vals[None, :, :]
-    pair_dens = 2.0 * (np.conj(xd)[:, :, None] * ud).real + np.abs(ud) ** 2
-    xd_sq = np.abs(xd) ** 2
-    np.fill_diagonal(xd_sq, np.inf)  # kills the diagonal in every pair sum
-    rel = pair_dens / xd_sq[:, :, None]
-
-    dist = np.sqrt(np.maximum(xd_sq[:, :, None] + pair_dens, 0.0))
-    flat = int(np.argmin(dist))
-    jm, km, im = np.unravel_index(flat, dist.shape)
-    min_sep = float(dist[jm, km, im])
+    rel = pair_dens / xd_sq
+    dist = np.sqrt(np.maximum(xd_sq + pair_dens, 0.0))
+    min_sep = float(dist.min(initial=math.inf))
     if min_sep <= 0.0:
-        raise CollisionDetected(
-            state.time, float(grid.nodes[im]), (int(jm), int(km))
-        )
+        jm, km, im = _closest(dist, pair_indices(state.count))
+        raise CollisionDetected(state.time, float(grid.nodes[im]), (jm, km))
 
-    # the einsum below runs over ordered (j, k); the extra factor 1/2 turns
-    # it into a sum over unordered pairs, each counted once
-    gg = (g[:, None] * g[None, :])[:, :, None]
+    def pair_integral(dens: np.ndarray) -> float:
+        return float(quad_trapezoid(grid, np.sum(gg * dens, axis=0)))
+
     log_ratio = _log_ratio(rel)
-    h_quant = kinetic - 0.25 * float(
-        quad_trapezoid(grid, np.sum(gg * log_ratio, axis=(0, 1)))
-    )
-    t_quant = 0.5 * float(
-        quad_trapezoid(grid, np.sum(gg * pair_dens, axis=(0, 1)))
-    )
-    i_quant = 0.25 * float(quad_trapezoid(grid, np.sum(gg * rel, axis=(0, 1))))
+    h_quant = kinetic - 0.5 * pair_integral(log_ratio)
+    t_quant = pair_integral(pair_dens)
+    i_quant = 0.5 * pair_integral(rel)
     e_quant = h_quant + i_quant
 
-    direct = kinetic + 0.25 * float(
-        quad_trapezoid(grid, np.sum(gg * (rel - log_ratio), axis=(0, 1)))
-    )
+    direct = kinetic + 0.5 * pair_integral(rel - log_ratio)
     if not abs(e_quant - direct) <= 1e-12 * max(1.0, abs(e_quant)):
         raise NumericalGuard(
             f"energy groupings disagree at t={state.time:.6g}: "
             f"{e_quant:.17g} vs {direct:.17g}"
         )
 
-    sup_ratio_dev = float(np.max(np.abs(np.where(np.isfinite(rel), rel, 0.0))))
-
     vw_norms = None
-    if n == 4 and not state.cfg.has_center:
-        vw_norms = (
-            _l2_norm(grid, u_vals[0] + u_vals[2]),
-            _l2_norm(grid, u_vals[1] + u_vals[3]),
-        )
+    if state.count == 4 and not state.cfg.has_center:
+        v, w = np.sqrt(_sq_norms(grid, u_vals[[0, 1]] + u_vals[[2, 3]]))
+        vw_norms = (float(v), float(w))
 
     return EnergyReport(
         time=state.time,
@@ -402,7 +408,7 @@ def energies(state: FilamentState) -> EnergyReport:
         T_quant=t_quant,
         I=i_quant,
         E=e_quant,
-        sup_ratio_dev=sup_ratio_dev,
+        sup_ratio_dev=float(np.max(np.abs(rel), initial=0.0)),
         min_sep=min_sep,
         vw_norms=vw_norms,
     )
@@ -614,25 +620,9 @@ def coercivity_check(
             f"ratio deviation {report.sup_ratio_dev:.3e} exceeds 1/4; "
             "the coercivity bound only holds on the band [3/4, 5/4]"
         )
-    grid = state.grid
-    g = state.cfg.circulations
-    xs = backbone(state)
-    u_vals = _values_matrix(state)
-
-    kinetic = 0.0
-    for j, f in enumerate(state.u):
-        du = derivative(f).values
-        kinetic += 0.5 * g[j] ** 2 * float(quad_trapezoid(grid, np.abs(du) ** 2))
-
-    xd = xs[:, None] - xs[None, :]
-    ud = u_vals[:, None, :] - u_vals[None, :, :]
-    pair_dens = 2.0 * (np.conj(xd)[:, :, None] * ud).real + np.abs(ud) ** 2
-    xd_sq = np.abs(xd) ** 2
-    np.fill_diagonal(xd_sq, np.inf)
-    rel = pair_dens / xd_sq[:, :, None]
-    gg = (g[:, None] * g[None, :])[:, :, None]
-    # unordered pairs, matching the convention used in energies()
-    quad = 0.5 * float(quad_trapezoid(grid, np.sum(gg * rel**2, axis=(0, 1))))
+    kinetic, gg, xd_sq, pair_dens = _pair_terms(state)
+    rel = pair_dens / xd_sq
+    quad = float(quad_trapezoid(state.grid, np.sum(gg * rel**2, axis=0)))
 
     lhs = kinetic + c * quad
     margin = report.E - lhs
@@ -754,15 +744,15 @@ def tilde_E0(state: FilamentState) -> float:
     return max(rep.E, 0.5 * (v**2 + w**2))
 
 
+def _pair_norms(state: FilamentState) -> np.ndarray:
+    """L2 norms of the pair differences u_j - u_k, one per unordered pair."""
+    _, _, ud = _pair_differences(state)
+    return np.sqrt(_sq_norms(state.grid, ud))
+
+
 def max_pair_norm(state: FilamentState) -> float:
     """Largest L2 norm of a pair difference u_j - u_k."""
-    u_vals = _values_matrix(state)
-    best = 0.0
-    n = u_vals.shape[0]
-    for j in range(n):
-        for k in range(j + 1, n):
-            best = max(best, _l2_norm(state.grid, u_vals[j] - u_vals[k]))
-    return best
+    return float(np.max(_pair_norms(state), initial=0.0))
 
 
 def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
@@ -803,17 +793,8 @@ def growth_monitors(
     t0 = states[0].time
     energies_pos = [max(r.E, 0.0) for r in reports]
 
-    def pair_sum(state: FilamentState) -> float:
-        u_vals = _values_matrix(state)
-        n = u_vals.shape[0]
-        total = 0.0
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    total += _l2_norm(state.grid, u_vals[j] - u_vals[k])
-        return total
-
-    sums = [pair_sum(s) for s in states]
+    # the bound sums over ordered pairs, each unordered pair twice
+    sums = [2.0 * float(np.sum(_pair_norms(s))) for s in states]
     pair_c = 0.0
     sup_e = 0.0
     for i, s in enumerate(states):
@@ -913,16 +894,10 @@ def hexagon_energy_identity(state: FilamentState) -> float:
         raise WrongConfig("hexagon identity needs unit circulations")
 
     rep = energies(state)
-    grid = state.grid
     u_vals = _values_matrix(state)
-    tri = 0.0
-    for start in (0, 1):
-        s = u_vals[start] + u_vals[start + 2] + u_vals[start + 4]
-        tri += float(quad_trapezoid(grid, np.abs(s) ** 2))
-    opp = 0.0
-    for j in range(3):
-        s = u_vals[j] + u_vals[j + 3]
-        opp += float(quad_trapezoid(grid, np.abs(s) ** 2))
+    # rows (u_1+u_3+u_5, u_2+u_4+u_6) and (u_j + u_(j+3)) for j = 1, 2, 3
+    tri = float(np.sum(_sq_norms(state.grid, u_vals.reshape(3, 2, -1).sum(axis=0))))
+    opp = float(np.sum(_sq_norms(state.grid, u_vals[:3] + u_vals[3:])))
     rhs = (
         rep.H
         + rep.T_quant / 2.0

@@ -9,7 +9,6 @@ so the FFT only ever sees a field that decays at the boundary.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,13 +21,17 @@ DEFAULT_BOUNDARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [-L, L) with an FFT-ordered wavenumber set."""
+    """Uniform periodic grid on [-L, L) with an FFT-ordered wavenumber set.
+
+    Two grids are equal when their defining (half_length, num_points) are;
+    the rest is derived from those two.
+    """
 
     half_length: float
     num_points: int
-    spacing: float
-    nodes: np.ndarray = field(repr=False)
-    wavenumbers: np.ndarray = field(repr=False)
+    spacing: float = field(compare=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
+    wavenumbers: np.ndarray = field(repr=False, compare=False)
 
 
 def make_grid(half_length: float, num_points: int) -> Grid1D:
@@ -161,9 +164,6 @@ def shift_field(f: ComplexField, displacement: float) -> ComplexField:
 # Field dumps (shared output format)
 # ---------------------------------------------------------------------------
 
-_RAW_MAGIC = b"VFS1"
-
-
 def write_fields_csv(path, grid: Grid1D, fields: list[ComplexField] | list[np.ndarray]) -> None:
     """Write fields as CSV: sigma,re_0,im_0,...  17 significant digits."""
     arrays = [f.values if isinstance(f, ComplexField) else np.asarray(f) for f in fields]
@@ -191,33 +191,3 @@ def read_fields_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
             + 1j * np.asarray(data[f"im_{j}"], dtype=float)
         )
     return sigma, arrays
-
-
-def write_fields_raw(path, fields: list[ComplexField] | list[np.ndarray]) -> None:
-    """Raw dump: 16-byte header (magic VFS1, uint32 M, uint32 n_fields,
-    4 reserved zero bytes), then per field M little-endian float64
-    (re, im) pairs."""
-    arrays = [f.values if isinstance(f, ComplexField) else np.asarray(f) for f in fields]
-    m = len(arrays[0]) if arrays else 0
-    with open(path, "wb") as fh:
-        fh.write(_RAW_MAGIC)
-        fh.write(struct.pack("<III", m, len(arrays), 0))
-        for arr in arrays:
-            pairs = np.empty((m, 2), dtype="<f8")
-            pairs[:, 0] = arr.real
-            pairs[:, 1] = arr.imag
-            fh.write(pairs.tobytes())
-
-
-def read_fields_raw(path) -> list[np.ndarray]:
-    """Read a raw dump written by write_fields_raw."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _RAW_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_RAW_MAGIC!r}")
-        m, n_fields, _reserved = struct.unpack("<III", fh.read(12))
-        arrays = []
-        for _ in range(n_fields):
-            pairs = np.frombuffer(fh.read(16 * m), dtype="<f8").reshape(m, 2)
-            arrays.append(pairs[:, 0] + 1j * pairs[:, 1])
-    return arrays

@@ -46,12 +46,9 @@ class VortexConfig:
 
 
 def min_separation(cfg: VortexConfig) -> float:
-    """Smallest pairwise distance d > 0 of the configuration."""
-    x = cfg.positions
-    diff = x[:, None] - x[None, :]
-    dist = np.abs(diff)
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    """Smallest pairwise distance d > 0 of the configuration (inf alone)."""
+    j, k = pair_indices(cfg.count)
+    return float(np.abs(cfg.positions[j] - cfg.positions[k]).min(initial=np.inf))
 
 
 def polygon_config(

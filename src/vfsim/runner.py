@@ -11,8 +11,6 @@ Guarantees shared by every scenario:
   ``numpy.random.default_rng(cfg.seed)``, floats are printed with 17
   significant digits, and nothing time- or host-dependent enters the
   files, so a rerun with the same config is byte identical;
-* single-threaded by default: ``threads`` only fans out independent
-  sweep members (traveling-wave sweeps), never a single integration;
 * on success every file listed in the report exists and is non-empty;
 * a guard that halts a run maps to a stable status string and exit code
   (see EXIT_CODES) instead of a traceback.
@@ -24,7 +22,6 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,8 +308,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
 # per-scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                      threads: int) -> RunReport:
+def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     vortex = build_backbone(cfg)
     traj = integrate(vortex, cfg.T, cfg.dt)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -327,8 +323,7 @@ def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     return report
 
 
-def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                   threads: int) -> RunReport:
+def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     rows = []
     for n in range(3, 11):
         eigs, verdict = linear_stability(n, cfg.gamma)
@@ -348,8 +343,7 @@ def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     return report
 
 
-def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                 threads: int) -> RunReport:
+def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     if cfg.pert_kind in ("gaussian", "dilation"):
         values = 1.0 + _gaussian_profile(cfg, grid)
@@ -403,8 +397,7 @@ def _write_filament_outputs(out_dir, result, dump_fields: bool) -> list:
     return files
 
 
-def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                threads: int) -> RunReport:
+def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
     cap = default_energy_cap(state, cfg.energy_cap_factor)
@@ -453,8 +446,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     return report
 
 
-def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                   threads: int) -> RunReport:
+def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = collision_initial_state(cfg.N, grid)
     result = evolve(
@@ -491,7 +483,7 @@ def _parse_sweep(text: str) -> list:
 
 
 def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                        threads: int, sweep: str | None = None,
+                        sweep: str | None = None,
                         out_name: str | None = None) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     report = _base_report(cfg, "Completed")
@@ -518,13 +510,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
 
     c2_values = _parse_sweep(sweep)
     params_list = [WaveParams(omega=cfg.omega, c=math.sqrt(c2)) for c2 in c2_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda p: sweep_waves([p], grid)[0], params_list)
-            )
-    else:
-        rows = sweep_waves(params_list, grid)
+    rows = sweep_waves(params_list, grid)
     with open(os.path.join(out_dir, name), "w",
               encoding="ascii", newline="\n") as fh:
         fh.write("c2,sigma1,energy,phase_jump,residual\n")
@@ -550,8 +536,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     return report
 
 
-def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-               threads: int) -> RunReport:
+def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     params = WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2))
     profile = build_wave(params, grid)
@@ -599,8 +584,7 @@ def _status_for_exception(exc: VfsimError) -> str:
 
 
 def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
-        threads: int = 1, sweep: str | None = None,
-        out_name: str | None = None) -> RunReport:
+        sweep: str | None = None, out_name: str | None = None) -> RunReport:
     """Run one scenario, write its files and status.json, return the report.
 
     Guard exceptions are converted into a report with the matching status
@@ -611,11 +595,10 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
     try:
         if cfg.scenario == "traveling_wave":
             report = _run_traveling_wave(
-                cfg, out_dir, dump_fields, threads,
-                sweep=sweep, out_name=out_name,
+                cfg, out_dir, dump_fields, sweep=sweep, out_name=out_name,
             )
         else:
-            report = _DISPATCH[cfg.scenario](cfg, out_dir, dump_fields, threads)
+            report = _DISPATCH[cfg.scenario](cfg, out_dir, dump_fields)
         _check_files(out_dir, report.files)
     except VfsimError as exc:
         status = _status_for_exception(exc)

@@ -27,8 +27,14 @@ Covered here:
     and fields own their memory, and a collision halt keeps the state at
     the start of the failing step,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
-    (also under python -O) and in evolve().
+    (also under python -O) and in evolve(),
+  * the unordered pair layout of the snapshot quantities: energies(),
+    max_pair_norm and the pair-norm growth constant agree with ordered
+    double-loop references, a lone filament has min_sep = inf and
+    sup_ratio_dev = 0, and equal grids built separately are accepted.
 """
+
+import dataclasses
 
 import math
 import os
@@ -71,7 +77,7 @@ from vfsim.filaments import (
     vw_decompose,
     zero_perturbations,
 )
-from vfsim.grid import make_field, make_grid, quad_trapezoid
+from vfsim.grid import derivative, make_field, make_grid, quad_trapezoid
 from vfsim.point_vortex import VortexConfig, min_separation, polygon_config
 from vfsim.reduced import PhiState, analytic_collision_phi, energy_bm, evolve_bm
 
@@ -261,6 +267,162 @@ class TestKernelProperties:
         _, sizes = naive_rhs(state)
         total = np.abs(g @ rhs_matrix(state))
         assert np.all(total <= 1e-12 * (np.abs(g) @ sizes))
+
+
+def ordered_energies(state):
+    """EnergyReport fields from the ordered (N, N, M) pair table.
+
+    The diagonal is masked with |X_jj|^2 = inf and every ordered sum is
+    halved to count each unordered pair once.
+    """
+    grid = state.grid
+    g = state.cfg.circulations
+    xs = backbone(state)
+    u_vals = np.array([f.values for f in state.u])
+    kinetic = 0.0
+    for j, f in enumerate(state.u):
+        du = derivative(f).values
+        kinetic += 0.5 * g[j] ** 2 * float(quad_trapezoid(grid, np.abs(du) ** 2))
+    self_dens = 2.0 * (np.conj(xs)[:, None] * u_vals).real + np.abs(u_vals) ** 2
+    a_quant = float(quad_trapezoid(grid, np.sum(g[:, None] * self_dens, axis=0)))
+    xd = xs[:, None] - xs[None, :]
+    ud = u_vals[:, None, :] - u_vals[None, :, :]
+    pair_dens = 2.0 * (np.conj(xd)[:, :, None] * ud).real + np.abs(ud) ** 2
+    xd_sq = np.abs(xd) ** 2
+    np.fill_diagonal(xd_sq, np.inf)
+    rel = pair_dens / xd_sq[:, :, None]
+    dist = np.sqrt(np.maximum(xd_sq[:, :, None] + pair_dens, 0.0))
+    gg = (g[:, None] * g[None, :])[:, :, None]
+
+    def ordered_integral(dens):
+        return float(quad_trapezoid(grid, np.sum(gg * dens, axis=(0, 1))))
+
+    h_quant = kinetic - 0.25 * ordered_integral(np.log1p(rel))
+    i_quant = 0.25 * ordered_integral(rel)
+    vw_norms = None
+    if state.count == 4 and not state.cfg.has_center:
+        vw_norms = tuple(
+            math.sqrt(float(quad_trapezoid(grid, np.abs(s) ** 2)))
+            for s in (u_vals[0] + u_vals[2], u_vals[1] + u_vals[3])
+        )
+    return {
+        "time": state.time,
+        "H": h_quant,
+        "A": a_quant,
+        "T_quant": 0.5 * ordered_integral(pair_dens),
+        "I": i_quant,
+        "E": h_quant + i_quant,
+        "sup_ratio_dev": float(np.max(np.abs(rel))),
+        "min_sep": float(dist.min()),
+        "vw_norms": vw_norms,
+    }
+
+
+def loop_pair_norms(state):
+    """(largest ||u_j - u_k|| over j < k, sum of ||u_j - u_k|| over j != k)."""
+    u = [f.values for f in state.u]
+    best, total = 0.0, 0.0
+    for j in range(state.count):
+        for k in range(state.count):
+            if j != k:
+                sq = quad_trapezoid(state.grid, np.abs(u[j] - u[k]) ** 2)
+                norm = math.sqrt(float(sq))
+                total += norm
+                if j < k:
+                    best = max(best, norm)
+    return best, total
+
+
+def loop_pair_norm_C(states, reports):
+    """The pair-norm growth constant fitted with the double-loop pair sums."""
+    sums = [loop_pair_norms(s)[1] for s in states]
+    pair_c, sup_e = 0.0, 0.0
+    for s, total, r in zip(states, sums, reports):
+        sup_e = max(sup_e, max(r.E, 0.0))
+        denom = sums[0] + (s.time - states[0].time) * math.sqrt(sup_e)
+        if denom > 0.0:
+            pair_c = max(pair_c, total / denom)
+    return pair_c
+
+
+def assert_close(got, want, what):
+    assert got == want or abs(got - want) <= 1e-13 * max(1.0, abs(want)), (
+        f"{what}: {got!r} vs {want!r}"
+    )
+
+
+def assert_report_matches_ordered(state):
+    rep = energies(state)
+    for name, want in ordered_energies(state).items():
+        got = getattr(rep, name)
+        if name == "vw_norms" and want is not None:
+            assert got is not None
+            for a, b in zip(got, want):
+                assert_close(a, b, name)
+        else:
+            assert_close(got, want, name)
+    return rep
+
+
+class TestPairLayout:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(kernel_states())
+    def test_energies_match_ordered_table(self, state):
+        assert_report_matches_ordered(state)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(kernel_states())
+    def test_pair_norms_match_loops(self, state):
+        # a short fake trajectory: the state, then rescaled copies later on
+        states = [state] + [
+            filament_state(
+                [make_field(f.grid, scale * f.values) for f in state.u],
+                state.cfg,
+                time=state.time + dt,
+            )
+            for scale, dt in ((0.5, 0.1), (1.2, 0.3))
+        ]
+        reports = [energies(s) for s in states]
+        for s in states:
+            assert_close(max_pair_norm(s), loop_pair_norms(s)[0], "max_pair_norm")
+        growth = growth_monitors(states, reports)
+        assert_close(
+            growth.pair_norm_C, loop_pair_norm_C(states, reports), "pair_norm_C"
+        )
+
+    def test_lone_filament(self):
+        cfg = VortexConfig(
+            positions=np.array([0.5 + 0.2j]),
+            circulations=np.array([1.5]),
+            omega=0.0,
+        )
+        vals = 0.1 * np.exp(-(KERNEL_GRID.nodes**2) + 0.7j * KERNEL_GRID.nodes)
+        state = filament_state([make_field(KERNEL_GRID, vals)], cfg)
+        rep = assert_report_matches_ordered(state)
+        assert rep.min_sep == math.inf
+        assert rep.sup_ratio_dev == 0.0
+        assert rep.I == rep.T_quant == 0.0
+        assert max_pair_norm(state) == 0.0
+        assert growth_monitors([state]).pair_norm_C == 0.0
+
+
+class TestStateValidation:
+    def test_equal_grids_built_separately_accepted(self):
+        grid = make_grid(20.0, 256)
+        rows = [0.01 * np.exp(-((grid.nodes - c) ** 2)) for c in range(5)]
+        fields = [make_field(grid, r) for r in rows[:4]]
+        fields.append(make_field(make_grid(20.0, 256), rows[4]))
+        state = filament_state(fields, polygon_config(5, 1.0, 1.0))
+        assert state.count == 5
+
+    @pytest.mark.parametrize("other", [(20.0, 512), (10.0, 256)])
+    def test_different_grid_rejected(self, other):
+        grid = make_grid(20.0, 256)
+        odd = make_grid(*other)
+        fields = [make_field(grid, np.zeros(grid.num_points)) for _ in range(3)]
+        fields.append(make_field(odd, np.zeros(odd.num_points)))
+        with pytest.raises(ConfigError, match="different grid"):
+            filament_state(fields, SQUARE)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ from vfsim.grid import (
     norms,
     quad_trapezoid,
     read_fields_csv,
-    read_fields_raw,
     shift_field,
     write_fields_csv,
-    write_fields_raw,
 )
 
 
@@ -73,6 +71,12 @@ class TestMakeGrid:
     def test_rejects_bad_parameters(self, L, M):
         with pytest.raises(InvalidGrid):
             make_grid(L, M)
+
+    def test_equality_by_defining_parameters(self):
+        """Grids built separately compare by (half_length, num_points)."""
+        assert make_grid(20.0, 256) == make_grid(20.0, 256)
+        assert make_grid(20.0, 256) != make_grid(20.0, 512)
+        assert make_grid(20.0, 256) != make_grid(10.0, 256)
 
 
 class TestLinearPropagate:
@@ -257,19 +261,6 @@ class TestDumps:
         # 17 significant digits give exact float64 roundtrip
         np.testing.assert_array_equal(arrays[0], f1)
         np.testing.assert_array_equal(arrays[1], f2)
-
-    def test_raw_roundtrip(self, tmp_path):
-        g = make_grid(5.0, 16)
-        rng = np.random.default_rng(5)
-        fields = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(3)]
-        path = tmp_path / "fields.bin"
-        write_fields_raw(path, fields)
-        raw = path.read_bytes()
-        assert raw[:4] == b"VFS1"
-        assert len(raw) == 16 + 3 * 16 * 16
-        arrays = read_fields_raw(path)
-        for got, want in zip(arrays, fields):
-            np.testing.assert_array_equal(got, want)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         g = make_grid(5.0, 16)
