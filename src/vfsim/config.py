@@ -145,7 +145,7 @@ def scenario_defaults(scenario: str) -> ScenarioConfig:
         cfg.L, cfg.M = 400.0, 65536
     elif scenario == "helix":
         cfg.L, cfg.M = 400.0, 65536
-        cfg.N = 3
+        cfg.kind, cfg.N = "polygon", 3  # the helices sit on an N-gon
     return cfg
 
 

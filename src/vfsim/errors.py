@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Each run-ending condition has its own class so the command line runner
-can map it to a stable exit code (see ``vfsim.cli``).
+can map it to a stable exit code (see ``vfsim.runner.EXIT_CODES``).
 """
 
 
@@ -35,16 +35,6 @@ class CollisionDetected(VfsimError):
         super().__init__(
             f"collision at t={time:.6g}, sigma={sigma:.6g}, pair={pair}"
         )
-
-
-class EnergyCapExceeded(VfsimError):
-    """The run energy left the trusted regime (default cap: 10x initial scale)."""
-
-    def __init__(self, time: float, energy: float, cap: float):
-        self.time = time
-        self.energy = energy
-        self.cap = cap
-        super().__init__(f"energy {energy:.6g} exceeded cap {cap:.6g} at t={time:.6g}")
 
 
 class BoundaryContaminated(VfsimError):

@@ -40,6 +40,7 @@ from .grid import (
     derivative,
     make_field,
     quad_trapezoid,
+    write_csv,
 )
 from .point_vortex import (
     VortexConfig,
@@ -99,7 +100,8 @@ def filament_state(
     """Validate and assemble a FilamentState.
 
     Checks the field count against the configuration, a common grid,
-    background 0, and the no-coincidence invariant min |Psi_jk| > 0.
+    background 0, and the no-coincidence invariant min |Psi_jk| > 0: a zero
+    minimum raises CollisionDetected, a NaN one NumericalGuard.
     """
     if len(u) != cfg.count:
         raise ConfigError(
@@ -115,6 +117,8 @@ def filament_state(
             )
     state = FilamentState(u=tuple(u), cfg=cfg, time=float(time))
     sep, sigma, pair = min_separation_field(state)
+    if math.isnan(sep):
+        raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
     if sep <= 0.0:
         raise CollisionDetected(time, sigma, pair)
     return state
@@ -415,16 +419,15 @@ def energies(state: FilamentState) -> EnergyReport:
 
 
 def write_reports_csv(path, reports: list[EnergyReport]) -> None:
-    """Dump EnergyReports, one row per sample, 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,H,A,T,I,E,sup_ratio_dev,min_sep,v_norm,w_norm\n")
-        for r in reports:
-            v, w = r.vw_norms if r.vw_norms is not None else (math.nan, math.nan)
-            fh.write(
-                f"{r.time:.17g},{r.H:.17g},{r.A:.17g},{r.T_quant:.17g},"
-                f"{r.I:.17g},{r.E:.17g},{r.sup_ratio_dev:.17g},"
-                f"{r.min_sep:.17g},{v:.17g},{w:.17g}\n"
-            )
+    """Dump EnergyReports, one row per sample (see grid.write_csv)."""
+    names = ("time", "H", "A", "T_quant", "I", "E", "sup_ratio_dev", "min_sep")
+    vw = [r.vw_norms if r.vw_norms is not None else (math.nan, math.nan) for r in reports]
+    write_csv(
+        path,
+        ["t", "H", "A", "T", "I", "E", "sup_ratio_dev", "min_sep", "v_norm", "w_norm"],
+        [[getattr(r, a) for r in reports] for a in names]
+        + [[v for v, _ in vw], [w for _, w in vw]],
+    )
 
 
 # ---------------------------------------------------------------------------

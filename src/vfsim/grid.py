@@ -10,6 +10,7 @@ so the FFT only ever sees a field that decays at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .errors import InvalidGrid
 
 #: Default tolerance for the "field is flat at the domain ends" guard.
 DEFAULT_BOUNDARY_TOL = 1e-10
+
+#: Rows that write_csv formats per write; bounds the text held in memory.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -161,21 +165,36 @@ def shift_field(f: ComplexField, displacement: float) -> ComplexField:
 
 
 # ---------------------------------------------------------------------------
-# Field dumps (shared output format)
+# CSV output (the one output format)
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns under a header: ASCII, "\\n" line ends.
+
+    Numbers are printed as "{:.17g}", which reads back to the same float64;
+    a column of strings is written as it is.  The rows are formatted
+    CSV_BLOCK_ROWS at a time.
+    """
+    cols = [np.asarray(c) for c in columns]
+    rows = len(cols[0]) if cols else 0
+    if len(header) != len(cols) or any(len(c) != rows for c in cols):
+        raise ValueError(f"{len(header)} names, column lengths {[len(c) for c in cols]}")
+    template = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}" for c in cols) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            block = zip(*(c[lo:lo + CSV_BLOCK_ROWS].tolist() for c in cols))
+            fh.write("".join(starmap(template.format, block)))
+
+
 def write_fields_csv(path, grid: Grid1D, fields: list[ComplexField] | list[np.ndarray]) -> None:
-    """Write fields as CSV: sigma,re_0,im_0,...  17 significant digits."""
+    """Write fields as CSV: sigma,re_0,im_0,...  (see write_csv)."""
     arrays = [f.values if isinstance(f, ComplexField) else np.asarray(f) for f in fields]
-    header = "sigma," + ",".join(f"re_{j},im_{j}" for j in range(len(arrays)))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(grid.num_points):
-            row = [f"{grid.nodes[i]:.17g}"]
-            for arr in arrays:
-                row.append(f"{arr[i].real:.17g}")
-                row.append(f"{arr[i].imag:.17g}")
-            fh.write(",".join(row) + "\n")
+    header, columns = ["sigma"], [grid.nodes]
+    for j, a in enumerate(arrays):
+        header += [f"re_{j}", f"im_{j}"]
+        columns += [a.real, a.imag]
+    write_csv(path, header, columns)
 
 
 def read_fields_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:

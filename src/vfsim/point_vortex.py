@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidPolygon, NearCollision, NumericalGuard
+from .grid import write_csv
 
 DELTA_MIN = 1e-8  # coincidence guard for the singular interaction kernel
 
@@ -262,29 +263,17 @@ def integrate(
 
 
 def write_trajectory_csv(path, traj: VortexTrajectory) -> None:
-    """Dump a trajectory, one row per sample, 17 significant digits."""
-    n = traj.positions.shape[1]
-    cols = ["t"]
-    for j in range(n):
-        cols += [f"re_X{j}", f"im_X{j}"]
-    cols += ["center_re", "center_im", "ang_mom", "log_sum", "quad_sum"]
-    inv = traj.invariant_series
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            x = traj.positions[i]
-            row = [f"{t:.17g}"]
-            for j in range(n):
-                row += [f"{x[j].real:.17g}", f"{x[j].imag:.17g}"]
-            c = inv["center_of_inertia"][i]
-            row += [
-                f"{c.real:.17g}",
-                f"{c.imag:.17g}",
-                f"{inv['angular_momentum'][i]:.17g}",
-                f"{inv['log_sum'][i]:.17g}",
-                f"{inv['quad_sum'][i]:.17g}",
-            ]
-            fh.write(",".join(row) + "\n")
+    """Dump a trajectory, one row per sample (see grid.write_csv)."""
+    x, inv = traj.positions, traj.invariant_series
+    center = inv["center_of_inertia"]
+    header, columns = ["t"], [traj.times]
+    for j in range(x.shape[1]):
+        header += [f"re_X{j}", f"im_X{j}"]
+        columns += [x[:, j].real, x[:, j].imag]
+    header += ["center_re", "center_im", "ang_mom", "log_sum", "quad_sum"]
+    columns += [center.real, center.imag, inv["angular_momentum"], inv["log_sum"],
+                inv["quad_sum"]]
+    write_csv(path, header, columns)
 
 
 # ---------------------------------------------------------------------------

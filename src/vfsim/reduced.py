@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BoundViolated,
     BoundaryContaminated,
     GinzburgViolated,
     IncompatibleWavenumber,
@@ -30,6 +31,7 @@ from .grid import (
     make_field,
     quad_trapezoid,
     shift_field,
+    write_csv,
 )
 from .point_vortex import VortexConfig
 
@@ -70,7 +72,7 @@ def _energy_bm(phi: ComplexField, omega: float, kinetic: float, mod_sq) -> float
     if omega == 0.0:
         return float(kinetic)
     low = float(np.sqrt(mod_sq.min()))
-    if low <= 0.0:
+    if not low > 0.0:  # a NaN minimum fails too
         raise ZeroModulus(low, 0.0)
     potential = 0.5 * omega * quad_trapezoid(phi.grid, mod_sq - 1.0 - np.log(mod_sq))
     return float(kinetic + potential)
@@ -125,10 +127,10 @@ def compare_energies(
     Requires the modulus deviation sup | |Phi|^2 - 1 | <= 1/4.  Returns
     (2 min r, 2 max r) with r the convexity ratio over the field's modulus
     values, or None when both energies vanish and the comparison is vacuous.
-    Asserts the verified band 0.84 E_GP <= E <= 5 E_GP.
+    Raises BoundViolated outside the verified band 0.84 E_GP <= E <= 5 E_GP.
     """
     sup_dev, _ = modulus_deviation(phi)
-    if sup_dev > 0.25 * (1.0 + 1e-9):  # cushion for the exact boundary case
+    if not sup_dev <= 0.25 * (1.0 + 1e-9):  # cushion for the exact boundary case
         raise PreconditionViolated(
             f"modulus deviation {sup_dev:.3e} exceeds 1/4; "
             "the energy comparison only holds near unit modulus"
@@ -138,9 +140,8 @@ def compare_energies(
     if e_gp < 1e-15:
         return None
     ratios = 2.0 * convexity_ratio(np.abs(phi.values) ** 2)
-    assert 0.84 * e_gp <= e * (1.0 + 1e-12) and e <= 5.0 * e_gp * (1.0 + 1e-12), (
-        f"energy comparison failed: E={e:.6e}, E_GP={e_gp:.6e}"
-    )
+    if not (0.84 * e_gp <= e * (1.0 + 1e-12) and e <= 5.0 * e_gp * (1.0 + 1e-12)):
+        raise BoundViolated(f"energy comparison failed: E={e:.6e}, E_GP={e_gp:.6e}")
     return float(ratios.min()), float(ratios.max())
 
 
@@ -181,13 +182,12 @@ def energy_sample(state: PhiState) -> EnergySample:
 
 
 def write_energy_csv(path, samples: list[EnergySample]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,E,E_GP,sup_dev,min_mod\n")
-        for s in samples:
-            fh.write(
-                f"{s.time:.17g},{s.E:.17g},{s.E_GP:.17g},"
-                f"{s.sup_dev:.17g},{s.min_mod:.17g}\n"
-            )
+    """Dump EnergySamples, one row per sample (see grid.write_csv)."""
+    names = ("time", "E", "E_GP", "sup_dev", "min_mod")
+    write_csv(
+        path, ["t", "E", "E_GP", "sup_dev", "min_mod"],
+        [[getattr(s, a) for s in samples] for a in names],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ so a run can be inspected (and diffed) after the fact.
 Guarantees shared by every scenario:
 
 * deterministic output: all randomness flows through
-  ``numpy.random.default_rng(cfg.seed)``, floats are printed with 17
-  significant digits, and nothing time- or host-dependent enters the
-  files, so a rerun with the same config is byte identical;
+  ``numpy.random.default_rng(cfg.seed)``, every CSV is written by
+  ``grid.write_csv`` (ASCII, ``\\n`` line ends, floats with 17 significant
+  digits), and nothing time- or host-dependent enters the files, so a
+  rerun with the same config is byte identical;
 * on success every file listed in the report exists and is non-empty;
-* a guard that halts a run maps to a stable status string and exit code
-  (see EXIT_CODES) instead of a traceback.
+* a guard exception that halts a run maps, by its class name, to a stable
+  status string and exit code (see EXIT_CODES) instead of a traceback.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ import scipy
 
 from . import __version__
 from .config import ScenarioConfig
-from .errors import (
-    BoundaryContaminated,
-    CollisionDetected,
-    ConfigError,
-    EnergyCapExceeded,
-    VfsimError,
-)
+from .errors import BoundaryContaminated, CollisionDetected, ConfigError, VfsimError
 from .filaments import (
     FilamentState,
     collision_initial_state,
@@ -49,7 +44,7 @@ from .filaments import (
     tilde_E0,
     write_reports_csv,
 )
-from .grid import Grid1D, make_field, make_grid, write_fields_csv, read_fields_csv
+from .grid import Grid1D, make_field, make_grid, read_fields_csv, write_csv, write_fields_csv
 from .point_vortex import (
     VortexConfig,
     integrate,
@@ -75,9 +70,10 @@ __all__ = [
 ]
 
 
-# Exit code for each terminal status.  Guard exceptions not listed here
-# (modulus floor, escaped amplitude, step-size refusals) are grouped
-# under NumericalGuard.
+# Exit code for each terminal status.  A guard exception is looked up by
+# its class name; those not listed here (modulus floor, escaped amplitude,
+# step-size refusals) are grouped under NumericalGuard.  EnergyCapExceeded
+# is a status that evolve reports, never an exception.
 EXIT_CODES = {
     "Completed": 0,
     "ConfigError": 2,
@@ -328,11 +324,8 @@ def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     for n in range(3, 11):
         eigs, verdict = linear_stability(n, cfg.gamma)
         rows.append((n, float(np.max(eigs.real)), verdict))
-    with open(os.path.join(out_dir, "stability.csv"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("N,max_re_lambda,verdict\n")
-        for n, lam, verdict in rows:
-            fh.write(f"{n},{lam:.17g},{verdict}\n")
+    write_csv(os.path.join(out_dir, "stability.csv"),
+              ["N", "max_re_lambda", "verdict"], list(zip(*rows)))
 
     report = _base_report(cfg, "Completed")
     for n, lam, verdict in rows:
@@ -492,15 +485,9 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     if sweep is None:
         params = WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2))
         profile = build_wave(params, grid)
-        with open(os.path.join(out_dir, name), "w",
-                  encoding="ascii", newline="\n") as fh:
-            fh.write("sigma,eta,theta,re_v,im_v\n")
-            for i in range(grid.num_points):
-                fh.write(
-                    f"{grid.nodes[i]:.17g},{profile.eta[i]:.17g},"
-                    f"{profile.theta[i]:.17g},{profile.v.values[i].real:.17g},"
-                    f"{profile.v.values[i].imag:.17g}\n"
-                )
+        v = profile.v.values
+        write_csv(os.path.join(out_dir, name), ["sigma", "eta", "theta", "re_v", "im_v"],
+                  [grid.nodes, profile.eta, profile.theta, v.real, v.imag])
         report.constants["sigma1"] = profile.sigma1
         report.constants["phase_jump"] = profile.phase_jump
         report.constants["energy"] = profile.energy
@@ -511,14 +498,9 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     c2_values = _parse_sweep(sweep)
     params_list = [WaveParams(omega=cfg.omega, c=math.sqrt(c2)) for c2 in c2_values]
     rows = sweep_waves(params_list, grid)
-    with open(os.path.join(out_dir, name), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write("c2,sigma1,energy,phase_jump,residual\n")
-        for row in rows:
-            fh.write(
-                f"{row['c2']:.17g},{row['sigma1']:.17g},{row['energy']:.17g},"
-                f"{row['phase_jump']:.17g},{row['residual']:.17g}\n"
-            )
+    names = ["c2", "sigma1", "energy", "phase_jump", "residual"]
+    write_csv(os.path.join(out_dir, name), names,
+              [[row[key] for row in rows] for key in names])
     # fitted exponents against the subsonic gap 2 omega - c^2: the wave
     # energy closes the gap like gap^(3/2), the tail onset sigma1 like gap
     gaps = np.array([2.0 * cfg.omega - row["c2"] for row in rows])
@@ -572,15 +554,8 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 
 def _status_for_exception(exc: VfsimError) -> str:
-    if isinstance(exc, ConfigError):
-        return "ConfigError"
-    if isinstance(exc, CollisionDetected):
-        return "CollisionDetected"
-    if isinstance(exc, EnergyCapExceeded):
-        return "EnergyCapExceeded"
-    if isinstance(exc, BoundaryContaminated):
-        return "BoundaryContaminated"
-    return "NumericalGuard"
+    name = type(exc).__name__
+    return name if name in EXIT_CODES else "NumericalGuard"
 
 
 def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
@@ -608,7 +583,7 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
             report.hitting_times["collision_time"] = exc.time
             report.hitting_times["sigma_star"] = exc.sigma
             report.hitting_times["pair"] = list(exc.pair)
-        elif isinstance(exc, (EnergyCapExceeded, BoundaryContaminated)):
+        elif isinstance(exc, BoundaryContaminated):
             report.hitting_times["halt_time"] = exc.time
     write_status(out_dir, report)
     return report

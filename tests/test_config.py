@@ -59,6 +59,11 @@ class TestDefaults:
             assert (cfg.L, cfg.M) == (400.0, 65536)
         assert scenario_defaults("helix").N == 3
 
+    def test_helix_config_matches_preset(self):
+        cfg = parse_config_dict({"scenario": "helix"})
+        preset = scenario_defaults("helix")
+        assert (cfg.kind, cfg.N) == (preset.kind, preset.N) == ("polygon", 3)
+
     def test_stability_preset(self):
         cfg = scenario_defaults("stability")
         assert cfg.kind == "polygon" and cfg.N == 8

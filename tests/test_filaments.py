@@ -424,6 +424,13 @@ class TestStateValidation:
         with pytest.raises(ConfigError, match="different grid"):
             filament_state(fields, SQUARE)
 
+    def test_nan_node_is_numerical_guard(self):
+        grid = make_grid(20.0, 256)
+        rows = [0.01 * np.exp(-((grid.nodes - c) ** 2)) + 0j for c in range(4)]
+        rows[1][100] = np.nan
+        with pytest.raises(NumericalGuard, match="NaN filament separation"):
+            filament_state([make_field(grid, r) for r in rows], SQUARE)
+
 
 # ---------------------------------------------------------------------------
 # energies

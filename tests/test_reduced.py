@@ -14,7 +14,9 @@ Hand oracles:
 import numpy as np
 import pytest
 
+from vfsim import reduced
 from vfsim.errors import (
+    BoundViolated,
     BoundaryContaminated,
     GinzburgViolated,
     IncompatibleWavenumber,
@@ -157,6 +159,37 @@ class TestCompareEnergies:
             assert out is not None
             lo, hi = out
             assert 0.84 <= lo <= hi <= 1.21, f"trial {trial}: ({lo}, {hi})"
+
+
+def nan_profile():
+    g = make_grid(20.0, 256)
+    values = 1.0 + 0.05 * np.exp(-g.nodes**2)
+    values[128] = np.nan
+    return make_field(g, values, background=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNanProfile:
+    def test_energy_bm(self):
+        with pytest.raises(ZeroModulus):
+            energy_bm(nan_profile(), 1.0)
+
+    def test_check_ginzburg(self):
+        with pytest.raises(ZeroModulus):
+            check_ginzburg(nan_profile(), 1.0)
+
+    def test_compare_energies(self):
+        with pytest.raises(PreconditionViolated):
+            compare_energies(nan_profile(), 1.0)
+
+
+def test_compare_energies_band_is_raised(monkeypatch):
+    """The verified band is a raised check, which ``python -O`` keeps."""
+    g = make_grid(20.0, 256)
+    phi = make_field(g, 1.0 + 0.05 * np.exp(-g.nodes**2), background=1.0)
+    monkeypatch.setattr(reduced, "energy_bm", lambda f, omega: 10.0 * energy_gp(f, omega))
+    with pytest.raises(BoundViolated, match="energy comparison failed"):
+        compare_energies(phi, 1.0)
 
 
 class TestCheckGinzburg:

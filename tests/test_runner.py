@@ -288,6 +288,15 @@ class TestScenarioRuns:
         ratio = report.constants["nu"] * cfg.L / np.pi
         assert ratio == pytest.approx(round(ratio))
 
+    def test_helix_from_config_writes_three_filaments(self, tmp_path):
+        cfg = parse_config_dict({"scenario": "helix", "grid": {"L": 30.0, "M": 1024}})
+        report = run(cfg, tmp_path)
+        assert report.status == "Completed"
+        for name in report.files:
+            header = (tmp_path / name).read_text().splitlines()[0]
+            assert header == "sigma,re_0,im_0,re_1,im_1,re_2,im_2"
+        assert load_status(tmp_path)["config"]["config"]["N"] == 3
+
     def test_runtime_config_error_writes_status(self, tmp_path):
         cfg = ScenarioConfig(
             scenario="square", pert_kind="file", path=str(tmp_path / "none.csv")
