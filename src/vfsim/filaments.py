@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BoundViolated,
     CollisionDetected,
     ConfigError,
     NumericalGuard,
@@ -453,22 +454,27 @@ class EvolutionResult:
 
 
 def default_energy_cap(
-    state: FilamentState, factor: float = ENERGY_CAP_FACTOR
+    state: FilamentState,
+    factor: float = ENERGY_CAP_FACTOR,
+    report: EnergyReport | None = None,
 ) -> float | None:
     """``factor`` times the initial energy scale, armed only for positive
     circulations.
 
     For a plain 4-filament configuration the scale is tilde_E0 (which also
-    sees the diagonal sums v, w); otherwise it is E(0).
+    sees the diagonal sums v, w); otherwise it is E(0).  ``report`` is
+    energies(state) when the caller already has it.
     Mixed-sign circulations sit outside the energy framework (the collision
     scenario runs there), so the cap is disarmed.
     """
     if np.any(state.cfg.circulations <= 0.0):
         return None
+    if report is None:
+        report = energies(state)
     if state.count == 4 and not state.cfg.has_center:
-        scale = tilde_E0(state)
+        scale = tilde_E0(state, report)
     else:
-        scale = energies(state).E
+        scale = report.E
     if scale <= 0.0:
         return None
     return factor * scale
@@ -482,6 +488,7 @@ def evolve(
     delta_min: float = DELTA_MIN,
     energy_cap: float | None = None,
     boundary_tol: float = DEFAULT_BOUNDARY_TOL,
+    energy_cap_factor: float = ENERGY_CAP_FACTOR,
 ) -> EvolutionResult:
     """Evolve the perturbation system for time T by Strang splitting.
 
@@ -499,16 +506,19 @@ def evolve(
 
     The run halts early with status CollisionDetected when filaments approach
     within delta_min times the backbone spacing, EnergyCapExceeded when a
-    sampled E(t) exceeds the cap (default 10x the initial scale; pass
-    energy_cap to override, 0 or inf to disarm), and BoundaryContaminated
-    when a perturbation stops being flat at the domain ends.  A NaN state
+    sampled E(t) exceeds the cap (default_energy_cap with energy_cap_factor,
+    from the t = 0 report; pass energy_cap to override, 0 or inf to disarm),
+    and BoundaryContaminated when a perturbation stops being flat at the
+    domain ends.  A NaN state
     raises NumericalGuard.  States and reports are recorded at t = 0, every
     ``sample_every`` steps, at the final time, and at the halt.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    states = [state]
+    reports = [energies(state)]
     if energy_cap is None:
-        energy_cap = default_energy_cap(state)
+        energy_cap = default_energy_cap(state, energy_cap_factor, reports[0])
     if energy_cap is not None and not 0.0 < energy_cap < math.inf:
         energy_cap = None
 
@@ -525,8 +535,6 @@ def evolve(
         fields = tuple(make_field(grid, row.copy()) for row in u_vals)
         return FilamentState(u=fields, cfg=cfg, time=t)
 
-    states = [state]
-    reports = [energies(state)]
     u_vals = _values_matrix(state)
     half_phase = np.exp(-1j * np.outer(g, grid.wavenumbers**2) * (0.5 * h))
     rhs = _pair_kernel(g, delta_min * min_separation(cfg), grid.nodes)
@@ -676,12 +684,25 @@ def vw_decompose(state: FilamentState) -> tuple[ComplexField, ComplexField]:
     return v, w
 
 
+def _identity_residual(name: str, energy: float, combination: float) -> float:
+    """|E - combination|; BoundViolated above 1e-10 * max(1, |E|) or if NaN.
+
+    A raised check rather than an assert, so ``python -O`` keeps it.
+    """
+    residual = abs(energy - combination)
+    if not residual <= 1e-10 * max(1.0, abs(energy)):
+        raise BoundViolated(
+            f"{name} energy identity failed: E={energy!r}, combination={combination!r}"
+        )
+    return residual
+
+
 def square_energy_identity(state: FilamentState) -> float:
     """Residual of the square identity
 
         E = H + T/4 - A/4 + (||v||^2 + ||w||^2)/8,
 
-    asserted below 1e-10 * max(1, |E|).  The coefficients follow from
+    checked below 1e-10 * max(1, |E|).  The coefficients follow from
     |X_jk|^2 = 2 on sides and 4 on diagonals together with the
     parallelogram law; doubling any of them breaks the identity (see the
     tests).
@@ -692,11 +713,7 @@ def square_energy_identity(state: FilamentState) -> float:
     vsq = float(quad_trapezoid(state.grid, np.abs(v.values) ** 2))
     wsq = float(quad_trapezoid(state.grid, np.abs(w.values) ** 2))
     rhs = rep.H + rep.T_quant / 4.0 - rep.A / 4.0 + (vsq + wsq) / 8.0
-    residual = abs(rep.E - rhs)
-    assert residual <= 1e-10 * max(1.0, abs(rep.E)), (
-        f"square energy identity failed: E={rep.E!r}, combination={rhs!r}"
-    )
-    return residual
+    return _identity_residual("square", rep.E, rhs)
 
 
 def check_Lv_vanishes(state: FilamentState) -> tuple[float, float]:
@@ -739,10 +756,13 @@ def check_Lv_vanishes(state: FilamentState) -> tuple[float, float]:
 # existence-time prediction and growth monitors
 # ---------------------------------------------------------------------------
 
-def tilde_E0(state: FilamentState) -> float:
-    """max(E(0), (||u_1+u_3||^2 + ||u_2+u_4||^2)/2) for 4-filament data."""
+def tilde_E0(state: FilamentState, report: EnergyReport | None = None) -> float:
+    """max(E(0), (||u_1+u_3||^2 + ||u_2+u_4||^2)/2) for 4-filament data.
+
+    ``report`` is energies(state) when the caller already has it.
+    """
     _require_plain_four(state)
-    rep = energies(state)
+    rep = energies(state) if report is None else report
     v, w = rep.vw_norms
     return max(rep.E, 0.5 * (v**2 + w**2))
 
@@ -834,7 +854,7 @@ def segment_energy_identity(state: FilamentState) -> float:
         E = H + T/2 - (3/4) A + (3/4) ||u_mid||^2 + (3/8) ||u_+ + u_-||^2,
 
     for the segment backbone (center vortex at the midpoint, index 0, and
-    the two ends at +-1), all circulations 1.  Asserted below
+    the two ends at +-1), all circulations 1.  Checked below
     1e-10 * max(1, |E|).
     """
     cfg = state.cfg
@@ -863,11 +883,7 @@ def segment_energy_identity(state: FilamentState) -> float:
         + 0.75 * mid_sq
         + 0.375 * ends_sq
     )
-    residual = abs(rep.E - rhs)
-    assert residual <= 1e-10 * max(1.0, abs(rep.E)), (
-        f"segment energy identity failed: E={rep.E!r}, combination={rhs!r}"
-    )
-    return residual
+    return _identity_residual("segment", rep.E, rhs)
 
 
 def hexagon_energy_identity(state: FilamentState) -> float:
@@ -879,7 +895,7 @@ def hexagon_energy_identity(state: FilamentState) -> float:
 
     for the plain unit hexagon with circulations 1; the triangle sums run
     over the two inscribed equilateral triangles and the last sum over the
-    three antipodal pairs.  Asserted below 1e-10 * max(1, |E|).
+    three antipodal pairs.  Checked below 1e-10 * max(1, |E|).
     """
     cfg = state.cfg
     if state.count != 6 or cfg.has_center:
@@ -908,8 +924,4 @@ def hexagon_energy_identity(state: FilamentState) -> float:
         + (1.0 / 3.0) * tri
         + 0.375 * opp
     )
-    residual = abs(rep.E - rhs)
-    assert residual <= 1e-10 * max(1.0, abs(rep.E)), (
-        f"hexagon energy identity failed: E={rep.E!r}, combination={rhs!r}"
-    )
-    return residual
+    return _identity_residual("hexagon", rep.E, rhs)

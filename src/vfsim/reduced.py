@@ -69,10 +69,12 @@ def _kinetic(phi: ComplexField) -> float:
 
 
 def _energy_bm(phi: ComplexField, omega: float, kinetic: float, mod_sq) -> float:
+    low = float(np.sqrt(mod_sq.min()))
+    if not low >= 0.0:  # a NaN minimum, also at omega = 0
+        raise ZeroModulus(low, 0.0)
     if omega == 0.0:
         return float(kinetic)
-    low = float(np.sqrt(mod_sq.min()))
-    if not low > 0.0:  # a NaN minimum fails too
+    if low == 0.0:
         raise ZeroModulus(low, 0.0)
     potential = 0.5 * omega * quad_trapezoid(phi.grid, mod_sq - 1.0 - np.log(mod_sq))
     return float(kinetic + potential)

@@ -24,9 +24,9 @@ import math
 import os
 import platform
 from dataclasses import dataclass, field
+from importlib import metadata
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ScenarioConfig
@@ -34,7 +34,6 @@ from .errors import BoundaryContaminated, CollisionDetected, ConfigError, VfsimE
 from .filaments import (
     FilamentState,
     collision_initial_state,
-    default_energy_cap,
     dilation_state,
     evolve,
     filament_state,
@@ -135,10 +134,15 @@ class RunReport:
 
 
 def _versions() -> dict:
+    # No run imports scipy: its installed version is read from the metadata.
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "vfsim": __version__,
     }
 
@@ -393,26 +397,20 @@ def _write_filament_outputs(out_dir, result, dump_fields: bool) -> list:
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
-    cap = default_energy_cap(state, cfg.energy_cap_factor)
-    is_plain_square = state.count == 4 and not state.cfg.has_center
-
-    constants: dict = {}
-    if is_plain_square:
-        te0 = tilde_E0(state)
-        constants["tilde_E0"] = te0
-        constants["predicted_T"] = predicted_T(te0, max_pair_norm(state))
-
     result = evolve(
         state, cfg.T, cfg.dt,
         sample_every=cfg.sample_every,
         delta_min=cfg.delta_min,
-        energy_cap=cap,
         boundary_tol=cfg.boundary_tol,
+        energy_cap_factor=cfg.energy_cap_factor,
     )
     files = _write_filament_outputs(out_dir, result, dump_fields)
 
     report = _base_report(cfg, result.status)
-    report.constants.update(constants)
+    if state.count == 4 and not state.cfg.has_center:
+        te0 = tilde_E0(state, result.reports[0])
+        report.constants["tilde_E0"] = te0
+        report.constants["predicted_T"] = predicted_T(te0, max_pair_norm(state))
     e0 = result.reports[0].E
     drift = max(abs(r.E - e0) for r in result.reports)
     report.constants["drift_E"] = drift

@@ -7,17 +7,20 @@ whose amplitude solves the planar Hamiltonian system
 
 with first integral (eta')^2 = a(eta), and whose phase obeys the Madelung relation
 (1 - eta) theta' = c eta / 2.  The turning point sigma1 is the smallest positive
-root of a, located by bisection on b = a / eta^2.  The module also provides the
+root of a, located by bisection on b = a / eta^2.  The amplitude is shot with a
+private Dormand-Prince 5(4) integrator (Dormand & Prince, J. Comput. Appl.
+Math. 6, 1980) with RK45 step control, Shampine's quartic dense output and one
+terminal event, so the module needs numpy only.  The module also provides the
 explicit Gross-Pitaevskii soliton with the same speed (a near-miss profile used
 as a negative control) and helical multi-filament fields built from a profile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .errors import (
     BoundViolated,
@@ -143,6 +146,22 @@ def b_of(eta, params: WaveParams):
     return out if out.ndim else float(out)
 
 
+def _b_scalar(eta: float, params: WaveParams) -> float:
+    """b_of at one float in [0, 1), with b_of's operations in b_of's order.
+
+    The shot calls b once per stage; on a float this skips the 0-d array
+    overhead of b_of, which was half the shot's time.
+    """
+    om = params.omega
+    sq = eta * eta
+    if eta < 1e-4:
+        return params.gap - (2.0 * om / 3.0) * eta - (om / 3.0) * sq
+    a = (4.0 * om - params.c**2) * sq + 4.0 * om * (
+        (eta - 1.0) * float(np.log1p(-eta)) - eta
+    )
+    return a / sq
+
+
 def find_sigma1(params: WaveParams) -> float:
     """Smallest positive root of a, via bisection on b over (0, sigma0].
 
@@ -175,6 +194,210 @@ def find_sigma1(params: WaveParams) -> float:
     raise NoRoot(f"bisection stalled at {mid:.17g} with b = {b_of(mid, params):.3g}")
 
 
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) shooter
+# ---------------------------------------------------------------------------
+
+# The Dormand & Prince (1980) tableau with Shampine's quartic dense-output
+# matrix (Math. Comp. 46, 1986).  The step control is the RK45 rule of
+# Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4): RMS error norm,
+# safety 0.9, step factors in [0.2, 10].  Constants and operation order follow
+# scipy's RK45 line for line, so a shot reproduces solve_ivp bit for bit.
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([
+    -71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+_EVENT_TOL = 4.0 * np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / math.sqrt(x.size)
+
+
+class _Shot:
+    """Dense output of one Dormand-Prince run.
+
+    Step i serves [edges[i], edges[i + 1]] with the quartic
+    pieces[i] = (t_old, h, y_old, Q); after a terminal event the last edge is
+    the event time.  ok is False when the step size collapsed, and t, y are
+    the last accepted state.
+    """
+
+    def __init__(self, t0: float, y0: np.ndarray):
+        self.edges = [t0]
+        self.pieces = []
+        self.t_event = None
+        self.ok = True
+        self.t, self.y = t0, y0
+
+    def _piece(self, i: int, t):
+        t_old, h, y_old, q = self.pieces[i]
+        x = (t - t_old) / h
+        powers = np.cumprod(np.tile(x, (4, 1)) if np.ndim(x) else np.tile(x, 4), axis=0)
+        y = h * np.dot(q, powers)
+        return y + (y_old[:, None] if y.ndim == 2 else y_old)
+
+    def __call__(self, t):
+        """The solution at t, shape (n,) for a scalar and (n, len(t)) for an array.
+
+        Nodes are sorted and each run of nodes sharing a step is evaluated in
+        one call; a node on an edge belongs to the earlier step.
+        """
+        edges = np.asarray(self.edges)
+        last = len(self.pieces) - 1
+        if np.ndim(t) == 0:
+            return self._piece(min(max(int(np.searchsorted(edges, t)) - 1, 0), last), t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        steps = np.clip(np.searchsorted(edges, t_sorted) - 1, 0, last)
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(steps)) + 1, [t.size]))
+        out = np.empty((self.y.size, t.size))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[:, order[lo:hi]] = self._piece(steps[lo], t_sorted[lo:hi])
+        return out
+
+
+def _brent_root(func, xpre: float, xcur: float) -> float:
+    """Root of func between xpre and xcur to _EVENT_TOL (absolute plus relative).
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973) in
+    the form of scipy.optimize.brentq.
+    """
+    fpre, fcur = func(xpre), func(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0 or (fpre < 0.0) == (fcur < 0.0):
+        return xcur  # (a lost sign change is a crossing at the step end)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = func(xcur)
+    return xcur
+
+
+def _dormand_prince(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
+                    event=None) -> _Shot:
+    """Integrate y' = fun(t, y) from t0 up to t_bound, keeping dense output.
+
+    Each step's local error estimate is held below atol + rtol |y| in the RMS
+    norm.  With an event function the run stops at the first step where
+    event(t, y) falls from >= 0 to <= 0; the crossing is located on that
+    step's interpolant and stored as t_event.  A step shorter than 10 ulp of
+    t ends the run with ok = False.
+    """
+    def f(t, y):
+        return np.asarray(fun(t, y), dtype=float)
+
+    t, y = t0, np.asarray(y0, dtype=float)
+    shot = _Shot(t, y)
+    if not t < t_bound:  # an event right at the far end leaves nothing to do
+        return shot
+    fy = f(t, y)
+    g = event(t, y) if event is not None else None
+
+    # starting step of Hairer, Norsett & Wanner (II.4) for an order-4 estimate
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = _rms((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    k = np.empty((7, y.size))
+    while t < t_bound:
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                shot.ok = False
+                return shot
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            k[0] = fy
+            for s in range(1, 6):
+                k[s] = f(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            f_new = k[-1] = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = 10.0 if error == 0 else min(10.0, 0.9 * error**_ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**_ERROR_EXPONENT)
+            rejected = True
+        shot.pieces.append((t, h, y, k.T.dot(_DP_P)))
+        t, y, fy = t_new, y_new, f_new
+        shot.t, shot.y = t, y
+        if event is not None:
+            g_new = event(t, y)
+            if g >= 0 and g_new <= 0:
+                last = len(shot.pieces) - 1
+                shot.t_event = _brent_root(
+                    lambda s: event(s, shot._piece(last, s)), shot.pieces[-1][0], t
+                )
+                shot.edges.append(shot.t_event)
+                return shot
+            g = g_new
+        shot.edges.append(t)
+    return shot
+
+
 def solve_eta(params: WaveParams, grid: Grid1D, sigma1: float | None = None) -> np.ndarray:
     """Amplitude defect eta sampled on the grid nodes.
 
@@ -198,41 +421,36 @@ def solve_eta(params: WaveParams, grid: Grid1D, sigma1: float | None = None) -> 
     def crossing(_s, y):
         return y[0] - half
 
-    crossing.terminal = True
-    crossing.direction = -1.0
-
     L = grid.half_length
-    sol1 = solve_ivp(
-        second_order, (0.0, L), (sigma1, 0.0), rtol=_ODE_RTOL, atol=_ODE_ATOL,
-        dense_output=True, events=crossing,
+    shot1 = _dormand_prince(
+        second_order, 0.0, (sigma1, 0.0), L, _ODE_RTOL, _ODE_ATOL, event=crossing
     )
-    if not sol1.success:
-        raise EtaEscaped(float(sol1.t[-1]), float(sol1.y[0, -1]), sigma1)
+    if not shot1.ok:
+        raise EtaEscaped(float(shot1.t), float(shot1.y[0]), sigma1)
 
     abs_nodes = np.abs(grid.nodes)
-    if sol1.t_events[0].size == 0:
-        eta_abs = sol1.sol(abs_nodes)[0]
+    if shot1.t_event is None:
+        eta_abs = shot1(abs_nodes)[0]
     else:
-        s_switch = float(sol1.t_events[0][0])
-        eta_switch = float(sol1.sol(s_switch)[0])
+        s_switch = float(shot1.t_event)
+        eta_switch = float(shot1(s_switch)[0])
 
         # Past the turning point, track u = ln(eta): u' = -sqrt(b(e^u)) is a
         # slowly varying slope, so the integrator takes long steps, eta stays
         # positive by construction, and the deep tail never underflows inside
         # the equation (b(0+) = 2 omega - c^2 is finite).
         def log_first_order(_s, u):
-            return (-np.sqrt(b_of(min(float(np.exp(u[0])), sigma1), params)),)
+            return (-np.sqrt(_b_scalar(min(float(np.exp(u[0])), sigma1), params)),)
 
-        sol2 = solve_ivp(
-            log_first_order, (s_switch, L), (np.log(eta_switch),),
-            rtol=_ODE_RTOL, atol=1e-12, dense_output=True,
+        shot2 = _dormand_prince(
+            log_first_order, s_switch, (np.log(eta_switch),), L, _ODE_RTOL, 1e-12
         )
-        if not sol2.success:
-            raise EtaEscaped(float(sol2.t[-1]), float(np.exp(sol2.y[0, -1])), sigma1)
+        if not shot2.ok:
+            raise EtaEscaped(float(shot2.t), float(np.exp(shot2.y[0])), sigma1)
         near = abs_nodes <= s_switch
         eta_abs = np.empty_like(abs_nodes)
-        eta_abs[near] = sol1.sol(abs_nodes[near])[0]
-        eta_abs[~near] = np.exp(sol2.sol(abs_nodes[~near])[0])
+        eta_abs[near] = shot1(abs_nodes[near])[0]
+        eta_abs[~near] = np.exp(shot2(abs_nodes[~near])[0])
 
     slack = 1e-10 * sigma1
     if np.any(eta_abs < -slack) or np.any(eta_abs > sigma1 + slack):
@@ -248,7 +466,8 @@ def solve_theta(eta: np.ndarray, params: WaveParams, grid: Grid1D) -> np.ndarray
     sigma = 0 anchors the gauge, which makes theta odd when eta is even.
     """
     rate = params.c * eta / (2.0 * (1.0 - eta))
-    theta = cumulative_trapezoid(rate, dx=grid.spacing, initial=0.0)
+    panels = grid.spacing * (rate[1:] + rate[:-1]) / 2.0
+    theta = np.concatenate(([0.0], np.cumsum(panels)))
     return theta - theta[grid.num_points // 2]
 
 

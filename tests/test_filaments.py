@@ -9,7 +9,7 @@ Covered here:
   * energy bookkeeping: agreement with N copies of the single-profile
     energy on dilation data, the rotation identity 2I = omega A, and the
     square / segment / hexagon energy identities together with a
-    wrong-coefficient variant,
+    wrong-coefficient variant, and their BoundViolated check under python -O,
   * the assembled linear parts L_v, L_w: vanishing on the unit square,
     nonvanishing on a stretched rectangle,
   * coercivity of the renormalized energy on the admissible ratio band,
@@ -519,6 +519,37 @@ class TestSquareIdentity:
         for st in result.states:
             res = square_energy_identity(st)
             assert res < 1e-12, f"t={st.time}: residual {res:.3e}"
+
+    def test_broken_identities_raise_under_optimize_flag(self):
+        """With E shifted by 1, each identity raises BoundViolated; no assert."""
+        code = (
+            "import dataclasses\n"
+            "from test_filaments import GRID, SQUARE, random_state\n"
+            "from vfsim import filaments\n"
+            "from vfsim.errors import BoundViolated\n"
+            "from vfsim.point_vortex import polygon_config\n"
+            "exact = filaments.energies\n"
+            "filaments.energies = lambda s: dataclasses.replace(exact(s), E=exact(s).E + 1.0)\n"
+            "cases = [\n"
+            "    (filaments.square_energy_identity, SQUARE),\n"
+            "    (filaments.segment_energy_identity,\n"
+            "     polygon_config(2, 1.0, 1.0, center_circulation=1.0)),\n"
+            "    (filaments.hexagon_energy_identity, polygon_config(6, 1.0, 1.0)),\n"
+            "]\n"
+            "for identity, vortex in cases:\n"
+            "    try:\n"
+            "        identity(random_state(vortex, GRID, 0.05, 0))\n"
+            "    except BoundViolated:\n"
+            "        print('raised')\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(vfsim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.split() == ["raised"] * 3
 
 
 class TestLinearParts:

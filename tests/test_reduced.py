@@ -182,6 +182,15 @@ class TestNanProfile:
         with pytest.raises(PreconditionViolated):
             compare_energies(nan_profile(), 1.0)
 
+    # at omega = 0 there is no potential term, but a NaN is still caught
+    def test_energy_bm_zero_omega(self):
+        with pytest.raises(ZeroModulus):
+            energy_bm(nan_profile(), 0.0)
+
+    def test_check_ginzburg_zero_omega(self):
+        with pytest.raises(ZeroModulus):
+            check_ginzburg(nan_profile(), 0.0)
+
 
 def test_compare_energies_band_is_raised(monkeypatch):
     """The verified band is a raised check, which ``python -O`` keeps."""

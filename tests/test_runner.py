@@ -11,15 +11,21 @@ Covered here:
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
-    traveling-wave file-style --out.
+    traveling-wave file-style --out,
+  * cold start: importing the CLI and running a travelling wave load no
+    scipy module.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vfsim
+from vfsim import filaments
 from vfsim.cli import main
 from vfsim.config import ScenarioConfig, parse_config_dict, scenario_defaults
 from vfsim.errors import ConfigError
@@ -223,6 +229,31 @@ class TestScenarioRuns:
         assert report.constants["energy_cap"] == pytest.approx(
             factor * report.constants["tilde_E0"], rel=1e-15
         )
+
+    @pytest.mark.parametrize("kind", ["square", "hexagon"])
+    def test_square_energies_once_per_report(self, tmp_path, monkeypatch, kind):
+        """The t = 0 report also sets the energy cap and tilde_E0."""
+        times = []
+        exact = filaments.energies
+
+        def counted(state):
+            times.append(state.time)
+            return exact(state)
+
+        monkeypatch.setattr(filaments, "energies", counted)
+        cfg = parse_config_dict(
+            {
+                "scenario": "square",
+                "config": {"kind": kind},
+                "grid": {"L": 20.0, "M": 256},
+                "perturbation": {"kind": "gaussian", "amp": 0.01, "seed": 0},
+                "time": {"T": 0.05, "dt": 1e-3, "sample_every": 10},
+            }
+        )
+        report = run(cfg, tmp_path)
+        assert report.status == "Completed"
+        assert ("tilde_E0" in report.constants) == (kind == "square")
+        assert times == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
 
     def test_square_with_field_dump(self, tmp_path):
         cfg = parse_config_dict(
@@ -431,3 +462,22 @@ class TestCli:
             ["collision", "--config", str(path), "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    def test_cold_start_imports_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import vfsim.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "code = vfsim.cli.main(['traveling-wave', '--L', '30', '--M', '1024',"
+            " '--out', sys.argv[1]])\n"
+            "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(code, sorted(set(loaded)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(vfsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
+        assert load_status(tmp_path)["versions"]["scipy"]

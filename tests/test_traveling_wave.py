@@ -6,6 +6,9 @@ Verified here:
   * the turning point sigma1 against an independent bisection oracle,
   * the amplitude shot: evenness, monotonicity, positivity, first integral,
     exponential tail with the predicted rate,
+  * the private Dormand-Prince shooter against closed forms (decay, the
+    oscillator and its downward event), and the amplitude and phase against
+    scipy's solve_ivp and cumulative_trapezoid when scipy is installed,
   * phase gauge and oddness, the assembled profile's certified bounds,
   * the travelling-wave equation residual (and a Gross-Pitaevskii soliton as
     a near-miss negative control),
@@ -20,7 +23,10 @@ from vfsim.errors import BoundViolated, DomainError, IncompatibleWavenumber
 from vfsim.grid import derivative, make_field, make_grid, shift_field
 from vfsim.reduced import PhiState, evolve_bm
 from vfsim.traveling_wave import (
+    SWITCH_FRACTION,
     WaveParams,
+    _b_scalar,
+    _dormand_prince,
     a_of,
     b_of,
     build_wave,
@@ -199,6 +205,104 @@ class TestAmplitudeShot:
         assert eta.min() > 0.4 * find_sigma1(p)
 
 
+def scipy_eta(params, grid, sigma1):
+    """The two amplitude shots with scipy's solve_ivp (RK45, brentq events)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    om, c2 = params.omega, params.c**2
+    half = SWITCH_FRACTION * sigma1
+
+    def crossing(_s, y):
+        return y[0] - half
+
+    crossing.terminal = True
+    crossing.direction = -1.0
+    L = grid.half_length
+    sol1 = integrate.solve_ivp(
+        lambda _s, y: (y[1], 2.0 * om * np.log1p(-y[0]) + (4.0 * om - c2) * y[0]),
+        (0.0, L), (sigma1, 0.0), rtol=1e-12, atol=1e-14, dense_output=True,
+        events=crossing,
+    )
+    abs_nodes = np.abs(grid.nodes)
+    if sol1.t_events[0].size == 0:
+        return np.clip(sol1.sol(abs_nodes)[0], 0.0, sigma1)
+    s_switch = float(sol1.t_events[0][0])
+    sol2 = integrate.solve_ivp(
+        lambda _s, u: (-np.sqrt(b_of(min(float(np.exp(u[0])), sigma1), params)),),
+        (s_switch, L), (np.log(float(sol1.sol(s_switch)[0])),),
+        rtol=1e-12, atol=1e-12, dense_output=True,
+    )
+    near = abs_nodes <= s_switch
+    eta = np.empty_like(abs_nodes)
+    eta[near] = sol1.sol(abs_nodes[near])[0]
+    eta[~near] = np.exp(sol2.sol(abs_nodes[~near])[0])
+    return np.clip(eta, 0.0, sigma1)
+
+
+def oscillator(_s, y):
+    return (y[1], -y[0])
+
+
+class TestShooter:
+    """The private Dormand-Prince integrator at the shot tolerances."""
+
+    def test_decay_dense_output(self):
+        shot = _dormand_prince(lambda _s, y: -y, 0.0, (1.0,), 5.0, 1e-12, 1e-14)
+        assert shot.ok and shot.t_event is None and shot.edges[-1] == 5.0
+        nodes = np.random.default_rng(0).uniform(0.0, 5.0, 257)  # unsorted
+        assert np.abs(shot(nodes)[0] - np.exp(-nodes)).max() <= 1e-10
+        assert abs(shot(2.5)[0] - np.exp(-2.5)) <= 1e-10
+
+    def test_oscillator_event(self):
+        shot = _dormand_prince(
+            oscillator, 0.0, (1.0, 0.0), 10.0, 1e-12, 1e-14,
+            event=lambda _s, y: y[0] - 0.5,
+        )
+        assert abs(shot.t_event - np.pi / 3.0) <= 1e-10
+        assert shot.edges[-1] == shot.t_event
+        nodes = np.random.default_rng(1).uniform(0.0, shot.t_event, 257)
+        y = shot(nodes)
+        assert np.abs(y[0] - np.cos(nodes)).max() <= 1e-10
+        assert np.abs(y[1] + np.sin(nodes)).max() <= 1e-10
+
+    def test_event_fires_only_downward(self):
+        # 0.5 - cos s rises through 0 at pi/3 and falls through it at 5 pi/3
+        shot = _dormand_prince(
+            oscillator, 0.0, (1.0, 0.0), 10.0, 1e-12, 1e-14,
+            event=lambda _s, y: 0.5 - y[0],
+        )
+        assert abs(shot.t_event - 5.0 * np.pi / 3.0) <= 1e-10
+
+    def test_blow_up_collapses_the_step(self):
+        # y' = y^2, y(0) = 1 blows up at s = 1
+        shot = _dormand_prince(lambda _s, y: y**2, 0.0, (1.0,), 2.0, 1e-12, 1e-14)
+        assert not shot.ok
+        assert 0.99 < shot.t < 1.0 and shot.y[0] > 100.0
+
+    def test_scalar_b_is_b_of(self):
+        params = reference_params()
+        rng = np.random.default_rng(2)
+        points = np.concatenate(
+            [rng.uniform(0.0, 1.0, 500), 10.0 ** rng.uniform(-300.0, 0.0, 500), [0.0, 1e-4]]
+        )
+        points = points[points < 1.0]
+        assert all(_b_scalar(float(x), params) == b_of(float(x), params) for x in points)
+
+    @pytest.mark.parametrize("c2", [1.9, 1.99])
+    def test_eta_matches_solve_ivp(self, c2):
+        params = WaveParams(omega=OMEGA, c=float(np.sqrt(c2)))
+        grid = make_grid(256.0, 65536)
+        sigma1 = find_sigma1(params)
+        gap = np.abs(solve_eta(params, grid, sigma1) - scipy_eta(params, grid, sigma1))
+        assert gap.max() <= 1e-13, f"c^2 = {c2}: eta differs by {gap.max():.3g}"
+
+    def test_single_shot_matches_solve_ivp(self):
+        params = reference_params()
+        grid = make_grid(1.0, 64)  # shorter than the core: no hand-off
+        sigma1 = find_sigma1(params)
+        gap = np.abs(solve_eta(params, grid, sigma1) - scipy_eta(params, grid, sigma1))
+        assert gap.max() <= 1e-13
+
+
 class TestPhase:
     def test_gauge_and_oddness(self, wave):
         grid = wave.grid
@@ -221,6 +325,13 @@ class TestPhase:
     def test_theta_solver_matches_profile(self, wave):
         theta = solve_theta(wave.eta, wave.params, wave.grid)
         assert np.array_equal(theta, wave.theta)
+
+    def test_cumsum_is_cumulative_trapezoid(self, wave):
+        integrate = pytest.importorskip("scipy.integrate")
+        rate = wave.params.c * wave.eta / (2.0 * (1.0 - wave.eta))
+        ref = integrate.cumulative_trapezoid(rate, dx=wave.grid.spacing, initial=0.0)
+        ref -= ref[wave.grid.num_points // 2]
+        assert np.array_equal(wave.theta, ref)
 
 
 class TestAssembledProfile:
