@@ -16,6 +16,19 @@ the coercivity check, the square-configuration identities built on
 v = u_1 + u_3 and w = u_2 + u_4, the analogous segment and hexagon
 identities, the existence-time prediction, and the exact synchronized
 collision scenario.
+
+Symmetric data carry a tag, ``vfsim.symmetry.Symmetry``: a permutation
+pi of the filaments and a unit factor rho with Psi_pi(j) = rho Psi_j.
+Only constructors set it, after checking it against the positions, the
+circulations and the fields: ``dilation_state`` and
+``collision_initial_state`` tag C_N (rho = exp(2 pi i / N), a centre
+vortex fixed with u_0 = 0) on a regular polygon with equal outer
+circulations, and ``filament_state(..., symmetry=point_reflection())``
+tags u_{j+2} = -u_j (the runner's parallelogram data).  ``evolve`` then
+integrates the orbit representatives alone, on the distinct pair rows
+their sums need, and expands every snapshot to u_j = a_j u_r exactly.
+Untagged data run through the same loop with every filament its own
+orbit.
 """
 
 from __future__ import annotations
@@ -50,6 +63,14 @@ from .point_vortex import (
     polygon_config,
 )
 from .reduced import analytic_collision_phi
+from .symmetry import (
+    SYMMETRY_TOL,
+    Orbits,
+    Symmetry,
+    backbone_mismatch,
+    pair_rows,
+    rotation_symmetry,
+)
 
 DELTA_MIN = 1e-3  # collision threshold as a fraction of the backbone spacing
 COERCIVITY_C = 0.21  # verified lower convexity constant on the ratio band
@@ -72,11 +93,15 @@ class FilamentState:
     ``u`` holds one background-0 field per vortex of ``cfg`` (center
     included when the configuration has one, in the configuration's own
     index order).  The backbone at this time is ``backbone(state)``.
+    ``symmetry`` is set only by the constructors that check it; a tagged
+    state lies on the orbit bit for bit, and ``evolve`` then integrates
+    the orbit representatives alone.
     """
 
     u: tuple[ComplexField, ...]
     cfg: VortexConfig
     time: float = 0.0
+    symmetry: Symmetry | None = None
 
     @property
     def grid(self) -> Grid1D:
@@ -97,12 +122,17 @@ def filament_state(
     u: list[ComplexField],
     cfg: VortexConfig,
     time: float = 0.0,
+    symmetry: Symmetry | None = None,
 ) -> FilamentState:
     """Validate and assemble a FilamentState.
 
     Checks the field count against the configuration, a common grid,
     background 0, and the no-coincidence invariant min |Psi_jk| > 0: a zero
-    minimum raises CollisionDetected, a NaN one NumericalGuard.
+    minimum raises CollisionDetected, a NaN one NumericalGuard.  A
+    ``symmetry`` must map the positions and the circulations onto
+    themselves, and the fields onto their orbit to SYMMETRY_TOL relative,
+    or ConfigError is raised; the state then holds the fields expanded
+    from the representatives, exactly on the orbit.
     """
     if len(u) != cfg.count:
         raise ConfigError(
@@ -116,7 +146,18 @@ def filament_state(
             raise ConfigError(
                 "u", f"field {j} has background {f.background!r}, expected 0"
             )
-    state = FilamentState(u=tuple(u), cfg=cfg, time=float(time))
+    if symmetry is not None:
+        reason = backbone_mismatch(symmetry, cfg)
+        if reason is not None:
+            raise ConfigError("symmetry", reason)
+        vals = np.stack([f.values for f in u])
+        orbits = Orbits(symmetry, cfg.count)
+        exact = orbits.expand(vals[orbits.reps])
+        # NaN data fails no comparison here; the separation check guards it
+        if np.max(np.abs(exact - vals)) > SYMMETRY_TOL * np.max(np.abs(vals)):
+            raise ConfigError("u", f"the fields are off the {symmetry.name} orbit")
+        u = [make_field(grid, row) for row in exact]
+    state = FilamentState(u=tuple(u), cfg=cfg, time=float(time), symmetry=symmetry)
     sep, sigma, pair = min_separation_field(state)
     if math.isnan(sep):
         raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
@@ -137,7 +178,9 @@ def dilation_state(
 ) -> FilamentState:
     """Dilation data u_j = X_j(t) (phi - 1), the shared-profile ansatz.
 
-    Requires a profile with background 1 so the perturbations decay.
+    Requires a profile with background 1 so the perturbations decay.  On a
+    regular polygon with equal outer circulations the state carries the
+    C_N tag of ``rotation_symmetry``.
     """
     if phi.background != 1.0:
         raise ConfigError(
@@ -147,7 +190,7 @@ def dilation_state(
     xs = np.exp(1j * omega * time) * cfg.positions
     dev = phi.values - 1.0
     fields = [make_field(phi.grid, x * dev) for x in xs]
-    return filament_state(fields, cfg, time=time)
+    return filament_state(fields, cfg, time=time, symmetry=rotation_symmetry(cfg))
 
 
 def collision_initial_state(N: int, grid: Grid1D) -> FilamentState:
@@ -208,35 +251,41 @@ def min_separation_field(
     return float(dist.min()), float(state.grid.nodes[i]), (j, k)
 
 
-def _pair_kernel(circulations: np.ndarray, threshold: float, nodes: np.ndarray):
+def _pair_kernel(
+    cfg: VortexConfig, threshold: float, nodes: np.ndarray, orbits: Orbits
+):
     """The interaction term on raw arrays, with its buffers allocated once.
 
-    The returned rhs(u_vals, xs, time, out) writes into ``out``; it raises
-    CollisionDetected below the separation threshold and NumericalGuard on a
-    NaN separation.  Each unordered pair is evaluated once and enters both
-    filaments' sums (term_kj = -term_jk, exact under negation).  Every
-    filament's sum runs over k in ascending order: at a symmetric collapse
-    several pairs tie up to roundoff, and this order decides which of them
-    trips the detector.
+    The returned rhs(rep_vals, xs, time, out) takes the rows of the orbit
+    representatives (all filaments without a symmetry) and writes their
+    interaction sums into ``out``.  It raises CollisionDetected below the
+    separation threshold and NumericalGuard on a NaN separation.  Only the
+    distinct pair rows of ``pair_rows`` are evaluated, each once; a row
+    enters a sum with its sign (term_kj = -term_jk, exact under negation).
+    Every representative's sum runs over k in ascending order: at a
+    symmetric collapse several pairs tie up to roundoff, and this order
+    decides which of them trips the detector.
     """
-    n, m = circulations.size, nodes.size
-    pairs = j, k = pair_indices(n)
-    # in row-major order the pairs (a, a+1..n-1) are rows[a]:rows[a+1];
-    # reordered by column, the pairs (0..c-1, c) are cols[c]:cols[c+1]
+    pairs, gather, weights, coeffs = pair_rows(cfg, orbits)
+    j, k = pairs
+    n, m = cfg.count, nodes.size
+    # without a symmetry the rows are all pairs in row-major order, and the
+    # pairs (a, a+1..n-1) are rows[a]:rows[a+1]
     rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
-    cols = [c * (c - 1) // 2 for c in range(n + 1)]
-    by_column = np.array(
-        [rows[a] + c - a - 1 for c in range(n) for a in range(c)], dtype=np.intp
-    )
-    g_by_column = circulations[k[by_column]][:, None]
-    g_by_row = circulations[j][:, None]
-    psi, term = (np.empty((j.size, m), dtype=np.complex128) for _ in range(2))
+    terms = np.empty(gather.shape + (m,), dtype=np.complex128)
+    # every row serves at least one term, and psi is dead once term is
+    # formed, so psi lives in the terms buffer
+    psi = terms.reshape(-1, m)[:j.size]
+    term = np.empty((j.size, m), dtype=np.complex128)
     dist = np.empty((j.size, m))
 
-    def rhs(u_vals, xs, time, out):
+    def rhs(rep_vals, xs, time, out):
+        if orbits.trivial:
+            for a in range(n - 1):
+                np.subtract(rep_vals[a], rep_vals[a + 1:], out=psi[rows[a]:rows[a + 1]])
+        else:
+            np.matmul(coeffs, rep_vals, out=psi)
         xd = xs[j] - xs[k]
-        for a in range(n - 1):
-            np.subtract(u_vals[a], u_vals[a + 1:], out=psi[rows[a]:rows[a + 1]])
         np.add(xd[:, None], psi, out=psi)
         np.abs(psi, out=dist)
         if dist.size:
@@ -250,20 +299,13 @@ def _pair_kernel(circulations: np.ndarray, threshold: float, nodes: np.ndarray):
         np.conjugate(psi, out=term)
         np.divide(1.0, term, out=term)
         np.subtract(term, (1.0 / np.conj(xd))[:, None], out=term)
-        # psi is free now: Gamma_k term_jk, for row j, gathered by column
-        # (the indices are in range; mode "raise" would buffer the output)
-        np.take(term, by_column, axis=0, out=psi, mode="clip")
-        np.multiply(g_by_column, psi, out=psi)
-        # Gamma_j term_jk, for row k, in row blocks
-        np.multiply(g_by_row, term, out=term)
-        out.fill(0.0)
-        # row j subtracts its pairs with k < j, then adds those with k > j,
-        # so each row's sum over k is ascending
-        for c in range(n - 1):
-            np.subtract(out[c + 1:], term[rows[c]:rows[c + 1]], out=out[c + 1:])
-        for c in range(1, n):
-            np.add(out[:c], psi[cols[c]:cols[c + 1]], out=out[:c])
-        return out
+        # +-Gamma_k term_rk for each representative r and k != r (the
+        # indices are in range; mode "raise" would buffer the output), then
+        # the sum over ascending k: a reduction over an axis that is not
+        # the contiguous one adds its slices one after another, in order
+        term.take(gather, axis=0, out=terms, mode="clip")
+        np.multiply(weights, terms, out=terms)
+        return np.add.reduce(terms, axis=1, out=out)
 
     return rhs
 
@@ -279,9 +321,10 @@ def interaction_rhs(
     backbone spacing, and NumericalGuard on a NaN separation.
     """
     rhs = _pair_kernel(
-        state.cfg.circulations,
+        state.cfg,
         delta_min * min_separation(state.cfg),
         state.grid.nodes,
+        Orbits(None, state.count),
     )
     u_vals = _values_matrix(state)
     vals = rhs(u_vals, backbone(state), state.time, np.empty_like(u_vals))
@@ -498,6 +541,12 @@ def evolve(
     t+dt), and a second half linear step.  dt is limited only by splitting
     accuracy; the linear part is exact at any step size.
 
+    A state with a symmetry tag evolves only its orbit representatives: the
+    FFTs and the RK4 stages run on their rows, and the pair kernel on the
+    distinct pair rows their sums need.  Every snapshot expands the
+    representatives to u_j = a_j u_r and keeps the tag.  Without a tag
+    every filament is its own orbit.
+
     The pair kernel's buffers, the spectrum, v, the stage input and k1..k4
     are allocated once per run and written through ``out=`` calls in the
     order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so the
@@ -523,21 +572,22 @@ def evolve(
         energy_cap = None
 
     cfg = state.cfg
-    g = cfg.circulations
     omega = cfg.omega if cfg.omega is not None else 0.0
     grid = state.grid
     x0 = cfg.positions
+    orbits = Orbits(state.symmetry, state.count)
 
     n_steps = max(int(round(T / dt)), 0)
     h = T / n_steps if n_steps else 0.0
 
     def snapshot(u_vals: np.ndarray, t: float) -> FilamentState:
-        fields = tuple(make_field(grid, row.copy()) for row in u_vals)
-        return FilamentState(u=fields, cfg=cfg, time=t)
+        fields = tuple(make_field(grid, row) for row in orbits.expand(u_vals))
+        return FilamentState(u=fields, cfg=cfg, time=t, symmetry=state.symmetry)
 
-    u_vals = _values_matrix(state)
+    u_vals = _values_matrix(state)[orbits.reps]
+    g = cfg.circulations[orbits.reps]
     half_phase = np.exp(-1j * np.outer(g, grid.wavenumbers**2) * (0.5 * h))
-    rhs = _pair_kernel(g, delta_min * min_separation(cfg), grid.nodes)
+    rhs = _pair_kernel(cfg, delta_min * min_separation(cfg), grid.nodes, orbits)
     spec, v, stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(7))
 
     def half_linear(vals: np.ndarray, out: np.ndarray) -> None:

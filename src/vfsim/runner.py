@@ -19,6 +19,7 @@ Guarantees shared by every scenario:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -52,6 +53,7 @@ from .point_vortex import (
     write_trajectory_csv,
 )
 from .reduced import PhiState, evolve_bm, lattice_wavenumber, write_energy_csv
+from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
     build_wave,
@@ -106,7 +108,10 @@ class RunReport:
     ``hitting_times`` records when guards fired (collision time, cap
     crossing); ``constants`` holds fitted or measured quantities (drifts,
     growth constants, slopes) that are reported but only ever asserted
-    through their exponents, never their prefactors.
+    through their exponents, never their prefactors.  ``symmetry`` names
+    the symmetry tag of a filament run's initial state (e.g. "C4+center"),
+    so the report says whether the symmetry-reduced engine ran; it is None
+    for untagged data and for the other scenarios.
     """
 
     status: str
@@ -118,6 +123,7 @@ class RunReport:
     config_echo: dict = field(default_factory=dict)
     versions: dict = field(default_factory=dict)
     acceptance: str = ""
+    symmetry: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -130,19 +136,25 @@ class RunReport:
             "config": self.config_echo,
             "versions": self.versions,
             "acceptance": self.acceptance,
+            "symmetry": self.symmetry,
         }
 
 
-def _versions() -> dict:
-    # No run imports scipy: its installed version is read from the metadata.
+@functools.cache
+def _scipy_version() -> str | None:
+    # No run imports scipy: its installed version is read from the metadata,
+    # once per process (the lookup scans the import path).
     try:
-        scipy_version = metadata.version("scipy")
+        return metadata.version("scipy")
     except metadata.PackageNotFoundError:
-        scipy_version = None
+        return None
+
+
+def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy_version,
+        "scipy": _scipy_version(),
         "vfsim": __version__,
     }
 
@@ -186,7 +198,9 @@ def _acceptance_for(cfg: ScenarioConfig) -> str:
     return _ACCEPTANCE.get(cfg.scenario, "")
 
 
-def _base_report(cfg: ScenarioConfig, status: str) -> RunReport:
+def _base_report(cfg: ScenarioConfig, status: str,
+                 state: FilamentState | None = None) -> RunReport:
+    symmetry = state.symmetry if state is not None else None
     return RunReport(
         status=status,
         exit_code=EXIT_CODES[status],
@@ -194,6 +208,7 @@ def _base_report(cfg: ScenarioConfig, status: str) -> RunReport:
         config_echo=_effective_config(cfg),
         versions=_versions(),
         acceptance=_acceptance_for(cfg),
+        symmetry=symmetry.name if symmetry is not None else None,
     )
 
 
@@ -268,9 +283,11 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
 
     ``gaussian`` draws an independent random bump profile per filament
     (generic data, scale ``amp``); ``dilation`` is the shared-profile
-    ansatz u_j = X_j (phi - 1) with phi a Gaussian bump on background 1;
+    ansatz u_j = X_j (phi - 1) with phi a Gaussian bump on background 1
+    (tagged C_N on a regular polygon, see ``dilation_state``);
     ``parallelogram`` seeds the antisymmetric square pattern
-    (g_a, g_b, -g_a, -g_b); ``file`` reads previously dumped fields.
+    (g_a, g_b, -g_a, -g_b), tagged with the point reflection
+    u_{j+2} = -u_j; ``file`` reads previously dumped fields.
     """
     vortex = build_backbone(cfg)
     if cfg.pert_kind == "gaussian":
@@ -288,7 +305,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
         ga = _random_bump(rng, grid, cfg.amp, cfg.width)
         gb = _random_bump(rng, grid, cfg.amp, cfg.width)
         fields = [make_field(grid, v) for v in (ga, gb, -ga, -gb)]
-        return filament_state(fields, vortex)
+        return filament_state(fields, vortex, symmetry=point_reflection())
     if cfg.pert_kind == "file":
         try:
             sigma, arrays = read_fields_csv(cfg.path)
@@ -406,7 +423,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     )
     files = _write_filament_outputs(out_dir, result, dump_fields)
 
-    report = _base_report(cfg, result.status)
+    report = _base_report(cfg, result.status, state)
     if state.count == 4 and not state.cfg.has_center:
         te0 = tilde_E0(state, result.reports[0])
         report.constants["tilde_E0"] = te0
@@ -448,7 +465,7 @@ def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     )
     files = _write_filament_outputs(out_dir, result, dump_fields)
 
-    report = _base_report(cfg, result.status)
+    report = _base_report(cfg, result.status, state)
     report.constants["min_sep"] = min(r.min_sep for r in result.reports)
     if result.status == "CollisionDetected":
         report.hitting_times["collision_time"] = result.halt_time

@@ -18,9 +18,9 @@ and (where stated) its runtime budget:
       evolution,
   11. the convexity constants behind the coercivity estimate.
 
-Tolerances are part of the contract; do not loosen them here.  Test 4
-carries one subclause that is expected to fail (the detection-time
-window); its assertion message explains the mechanism.
+Tolerances are part of the contract; do not loosen them here.  Test 4's
+detection-time window is met at its lower edge, through the symmetry-
+tagged engine; the comment above that subclause explains why.
 """
 
 import time
@@ -149,12 +149,14 @@ def test_04_collision_scenario():
 
     assert elapsed < 10.0, f"collision run took {elapsed:.2f} s"
 
-    # Expected failure: the exact profile crosses the separation threshold
-    # at t ~ 0.990, but the transverse instability of the collapsing
-    # profile (local growth rate ~ 0.49/(1-t)^2) amplifies the O(1e-12)
-    # discretization seed enough to trip the detector a few milliseconds
-    # early.  Landing inside the window would need that seed below
-    # ~2e-24, beyond double precision at any resolution.
+    # The exact profile crosses the separation threshold at t ~ 0.98999.
+    # The data carry the C4+center tag, so the outer filaments stay exact
+    # rotations of one another and the detector trips at the stage time
+    # t = 0.99, the window's lower edge.  Untagged, the transverse
+    # instability of the collapsing profile (local growth rate
+    # ~ 0.49/(1-t)^2) amplifies the roundoff differences between the
+    # filaments and trips it early, at t = 0.986125 (see
+    # test_filaments.py::TestSymmetryTag).
     assert 0.99 <= result.halt_time <= 1.01, (
         f"collision detected at t={result.halt_time:.4f}, outside [0.99, 1.01]; "
         "every other subclause of this scenario (sigma* on the axis, strict "

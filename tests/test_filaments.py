@@ -26,6 +26,13 @@ Covered here:
     fresh temporaries bit for bit, repeated runs agree, returned states
     and fields own their memory, and a collision halt keeps the state at
     the start of the failing step,
+  * the symmetry tag: which constructors set it, ConfigError for a tag on
+    an irregular backbone, on unequal circulations or on fields off the
+    orbit, the untagged collision's early trip (the transverse
+    instability), tagged against untagged runs for the triangle
+    dilation, the collision and the parallelogram, chained runs keeping
+    the tag, and a property test of one tagged step on N-gons with and
+    without a centre, whose snapshot lies on the orbit bit for bit,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
     (also under python -O) and in evolve(),
   * the unordered pair layout of the snapshot quantities: energies(),
@@ -47,6 +54,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vfsim
+from vfsim.config import ScenarioConfig
 from vfsim.errors import (
     CollisionDetected,
     ConfigError,
@@ -80,6 +88,8 @@ from vfsim.filaments import (
 from vfsim.grid import derivative, make_field, make_grid, quad_trapezoid
 from vfsim.point_vortex import VortexConfig, min_separation, polygon_config
 from vfsim.reduced import PhiState, analytic_collision_phi, energy_bm, evolve_bm
+from vfsim.runner import build_filament_state
+from vfsim.symmetry import point_reflection, rotation_symmetry
 
 GRID = make_grid(30.0, 1024)
 SQUARE = polygon_config(4, 1.0, 1.0)
@@ -838,6 +848,202 @@ class TestCollisionScenario:
         assert min(seps) < 0.05
         # monotone in time at the sample resolution until the halt
         assert all(b <= a + 1e-9 for a, b in zip(seps, seps[1:])), seps
+
+
+# ---------------------------------------------------------------------------
+# the symmetry-tagged engine
+# ---------------------------------------------------------------------------
+
+def untagged(state):
+    """The same fields and backbone through plain filament_state."""
+    return filament_state(list(state.u), state.cfg, time=state.time)
+
+
+def max_gap(first, second):
+    return max(
+        float(np.max(np.abs(a.values - b.values)))
+        for a, b in zip(first.u, second.u)
+    )
+
+
+def orbit_coefficients(sym, n):
+    """(representative, a_j) of every filament, walking each orbit with
+    a_m = a_(m-1) * factor; a filament whose orbit never returns the
+    factor to 1 gets (None, 0)."""
+    out = [None] * n
+    for r in range(n):
+        if out[r] is not None:
+            continue
+        orbit, powers = [r], [1.0 + 0.0j]
+        while sym.perm[orbit[-1]] != r:
+            orbit.append(sym.perm[orbit[-1]])
+            powers.append(powers[-1] * sym.factor)
+        closed = abs(powers[-1] * sym.factor - 1.0) <= 1e-9
+        for j, a in zip(orbit, powers):
+            out[j] = (r, a) if closed else (None, 0.0)
+    return out
+
+
+def assert_on_orbit(state):
+    """u_j == a_j u_r bit for bit on every filament of a tagged state."""
+    for j, (r, a) in enumerate(orbit_coefficients(state.symmetry, state.count)):
+        if r is None:
+            assert np.all(state.u[j].values == 0.0)
+        else:
+            assert np.array_equal(state.u[j].values, a * state.u[r].values)
+
+
+@pytest.fixture(scope="module")
+def untagged_collision_run():
+    grid = make_grid(20.0, 512)
+    state = untagged(collision_initial_state(4, grid))
+    return evolve(
+        state,
+        1.05,
+        2.5e-4,
+        sample_every=1000,
+        delta_min=0.02,
+        boundary_tol=1e-6,
+    )
+
+
+def parallelogram_state(grid):
+    cfg = ScenarioConfig(
+        scenario="square", pert_kind="parallelogram", amp=0.02, width=3.0, seed=1
+    )
+    return build_filament_state(cfg, grid)
+
+
+@st.composite
+def polygon_orbit_states(draw):
+    """Dilation data on an N-gon, N = 2..6, with or without a centre.
+
+    A single C_N orbit is the dilation ansatz for a random complex
+    profile, so this covers every C_N-symmetric datum.
+    """
+    n = draw(st.integers(2, 6))
+    center = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = rng.uniform(0.5, 2.0)
+    gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    gamma0 = rng.uniform(-2.0, 2.0) if center else None
+    cfg = polygon_config(n, radius, gamma, center_circulation=gamma0)
+    bump = np.exp(-((KERNEL_GRID.nodes - rng.uniform(-1.0, 1.0)) ** 2))
+    amp = 0.2 * complex(*rng.uniform(-1.0, 1.0, 2))
+    phi = make_field(KERNEL_GRID, 1.0 + amp * bump, background=1.0)
+    return dilation_state(cfg, phi, time=draw(st.floats(0.0, 3.0)))
+
+
+class TestSymmetryTag:
+    def test_constructors_set_the_tag(self):
+        assert collision_initial_state(4, GRID).symmetry.name == "C4+center"
+        assert dilation_state(TRIANGLE, gaussian_profile(GRID)).symmetry.name == "C3"
+        assert parallelogram_state(GRID).symmetry == point_reflection()
+        assert random_state(SQUARE, GRID, 0.01, seed=1).symmetry is None
+
+    def test_no_tag_on_an_irregular_backbone(self):
+        kite = VortexConfig(
+            positions=np.array([1.0, 1j, -1.0, -0.5j]),
+            circulations=np.ones(4),
+        )
+        assert rotation_symmetry(kite) is None
+        assert dilation_state(kite, gaussian_profile(GRID)).symmetry is None
+
+    def test_irregular_backbone_rejected(self):
+        stretched = VortexConfig(
+            positions=SQUARE.positions * np.array([1.0, 1.1, 1.0, 1.1]),
+            circulations=np.ones(4),
+        )
+        state = dilation_state(stretched, gaussian_profile(GRID))
+        with pytest.raises(ConfigError, match="backbone"):
+            filament_state(list(state.u), stretched, symmetry=rotation_symmetry(SQUARE))
+
+    def test_unequal_circulations_rejected(self):
+        uneven = VortexConfig(
+            positions=SQUARE.positions, circulations=np.array([1.0, 1.0, 1.0, 2.0])
+        )
+        assert rotation_symmetry(uneven) is None
+        state = dilation_state(SQUARE, gaussian_profile(GRID))
+        with pytest.raises(ConfigError, match="circulations"):
+            filament_state(list(state.u), uneven, symmetry=rotation_symmetry(SQUARE))
+
+    @pytest.mark.parametrize("sym", ["rotation", "reflection"])
+    def test_fields_off_the_orbit_rejected(self, sym):
+        state = random_state(SQUARE, GRID, 0.01, seed=3)
+        tag = rotation_symmetry(SQUARE) if sym == "rotation" else point_reflection()
+        with pytest.raises(ConfigError, match="off the"):
+            filament_state(list(state.u), SQUARE, symmetry=tag)
+
+    def test_centre_field_must_vanish(self):
+        state = collision_initial_state(4, GRID)
+        fields = list(state.u)
+        fields[0] = make_field(GRID, 1e-3 * np.exp(-GRID.nodes**2))
+        with pytest.raises(ConfigError, match="off the"):
+            filament_state(fields, state.cfg, symmetry=state.symmetry)
+
+    def test_untagged_collision_trips_early(self, untagged_collision_run):
+        """Off the exact orbit, roundoff seeds the transverse instability
+        of the collapsing profile, and the detector trips before the
+        closed form crosses the threshold (t = 0.98999)."""
+        result = untagged_collision_run
+        assert result.status == "CollisionDetected"
+        assert result.halt_time < 0.99
+        j, k = result.collision_pair
+        assert j == 0 and 1 <= k <= 4
+
+    def test_collision_tagged_matches_untagged(
+        self, collision_run, untagged_collision_run
+    ):
+        _grid, tagged_result = collision_run
+        pairs = [
+            (a, b)
+            for a in tagged_result.states
+            for b in untagged_collision_run.states
+            if a.time == b.time and a.time <= 0.75
+        ]
+        assert [a.time for a, _ in pairs] == [0.0, 0.25, 0.5, 0.75]
+        for a, b in pairs:
+            assert max_gap(a, b) <= 1e-10, f"t={a.time}"
+
+    def test_triangle_dilation_tagged_matches_untagged(self):
+        state = dilation_state(TRIANGLE, gaussian_profile(GRID))
+        tagged_end = evolve(state, 0.5, 1e-3, sample_every=500).states[-1]
+        plain_end = evolve(untagged(state), 0.5, 1e-3, sample_every=500).states[-1]
+        assert tagged_end.time == plain_end.time == pytest.approx(0.5)
+        assert max_gap(tagged_end, plain_end) <= 1e-10
+        assert_on_orbit(tagged_end)
+
+    def test_parallelogram_tagged_matches_untagged(self):
+        grid = make_grid(50.0, 1024)
+        state = parallelogram_state(grid)
+        tagged_result = evolve(state, 0.2, 1e-3, sample_every=100)
+        plain_result = evolve(untagged(state), 0.2, 1e-3, sample_every=100)
+        for a, b in zip(tagged_result.states, plain_result.states):
+            assert max_gap(a, b) <= 1e-10
+            assert_on_orbit(a)
+        # the diagonal sums vanish exactly on the tagged path
+        assert all(r.vw_norms == (0.0, 0.0) for r in tagged_result.reports)
+
+    def test_snapshots_keep_the_tag(self):
+        state = collision_initial_state(4, GRID)
+        first = evolve(state, 0.02, 1e-3, sample_every=10)
+        assert all(s.symmetry == state.symmetry for s in first.states)
+        chained = evolve(first.states[-1], 0.02, 1e-3, sample_every=10)
+        once = evolve(state, 0.04, 1e-3, sample_every=20)
+        assert chained.states[-1].symmetry == state.symmetry
+        assert max_gap(chained.states[-1], once.states[-1]) < 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(polygon_orbit_states())
+    def test_one_step_matches_untagged(self, state):
+        assert_on_orbit(state)
+        dt = 1e-3
+        tagged_end = evolve(state, dt, dt, sample_every=1).states[-1]
+        plain_end = evolve(untagged(state), dt, dt, sample_every=1).states[-1]
+        assert tagged_end.symmetry == state.symmetry
+        assert plain_end.symmetry is None
+        assert max_gap(tagged_end, plain_end) <= 1e-13
+        assert_on_orbit(tagged_end)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Covered here:
     perturbation kinds with determinism, antisymmetry and file round
     trip, grid mismatch rejection,
   * per-scenario runs on small grids: emitted files, status.json
-    structure (status, constants, versions, acceptance tag), exit codes,
+    structure (status, constants, versions, acceptance tag, symmetry
+    tag), exit codes, the scipy version read once per process,
   * guard mapping: a collision maps to exit code 3 with hitting times,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 import vfsim
-from vfsim import filaments
+from vfsim import filaments, runner
 from vfsim.cli import main
 from vfsim.config import ScenarioConfig, parse_config_dict, scenario_defaults
 from vfsim.errors import ConfigError
@@ -287,6 +288,43 @@ class TestScenarioRuns:
         assert len(pair) == 2
         assert pair[0] == 0 and 1 <= pair[1] <= 4
         assert load_status(tmp_path)["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("parallelogram", "point_reflection"), ("dilation", "C4"), ("gaussian", None)],
+    )
+    def test_status_records_symmetry(self, tmp_path, kind, name):
+        cfg = parse_config_dict(
+            {
+                "scenario": "square",
+                "grid": {"L": 30, "M": 256},
+                "perturbation": {"kind": kind, "amp": 0.02, "seed": 1},
+                "time": {"T": 0.05, "dt": 1e-3, "sample_every": 25},
+            }
+        )
+        report = run(cfg, tmp_path)
+        assert report.status == "Completed"
+        assert load_status(tmp_path)["symmetry"] == report.symmetry == name
+        if kind == "parallelogram":
+            assert report.constants["max_vw"] == 0.0
+
+    def test_collision_status_records_symmetry(self, tmp_path):
+        cfg = scenario_defaults("collision")
+        cfg.M, cfg.dt, cfg.T = 256, 1e-3, 0.1
+        report = run(cfg, tmp_path)
+        assert report.status == "Completed"
+        assert load_status(tmp_path)["symmetry"] == "C4+center"
+
+    def test_versions_read_once_per_process(self, monkeypatch):
+        calls = []
+        version = runner.metadata.version
+        monkeypatch.setattr(
+            runner.metadata, "version", lambda name: calls.append(name) or version(name)
+        )
+        runner._scipy_version.cache_clear()
+        first, second = runner._versions(), runner._versions()
+        assert first == second and first is not second
+        assert calls == ["scipy"]
 
     def test_traveling_wave_profile(self, tmp_path):
         cfg = scenario_defaults("traveling_wave")
