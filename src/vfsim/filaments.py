@@ -26,7 +26,9 @@ vortex fixed with u_0 = 0) on a regular polygon with equal outer
 circulations, and ``filament_state(..., symmetry=point_reflection())``
 tags u_{j+2} = -u_j (the runner's parallelogram data).  ``evolve`` then
 integrates the orbit representatives alone, on the distinct pair rows
-their sums need, and expands every snapshot to u_j = a_j u_r exactly.
+their sums need, and expands every snapshot to u_j = a_j u_r exactly;
+on a single orbit over a stationary backbone (the collision data) the
+interaction vanishes identically and the run is the free linear flow.
 Untagged data run through the same loop with every filament its own
 orbit.
 """
@@ -51,6 +53,7 @@ from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
     Grid1D,
+    _end_deviation,
     derivative,
     make_field,
     quad_trapezoid,
@@ -251,6 +254,27 @@ def min_separation_field(
     return float(dist.min()), float(state.grid.nodes[i]), (j, k)
 
 
+def _check_separation(
+    psi: np.ndarray,
+    dist: np.ndarray,
+    threshold: float,
+    time: float,
+    nodes: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Write |psi| into ``dist`` and guard it: psi holds Psi_j - Psi_k on
+    the rows of ``pairs``.  Raises NumericalGuard on a NaN separation and
+    CollisionDetected, at the first minimum, below the threshold."""
+    np.abs(psi, out=dist)
+    if dist.size:
+        low = float(dist.min())
+        if math.isnan(low):
+            raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
+        if low < threshold:
+            a, b, i = _closest(dist, pairs)
+            raise CollisionDetected(time, float(nodes[i]), (a, b))
+
+
 def _pair_kernel(
     cfg: VortexConfig, threshold: float, nodes: np.ndarray, orbits: Orbits
 ):
@@ -287,14 +311,7 @@ def _pair_kernel(
             np.matmul(coeffs, rep_vals, out=psi)
         xd = xs[j] - xs[k]
         np.add(xd[:, None], psi, out=psi)
-        np.abs(psi, out=dist)
-        if dist.size:
-            low = float(dist.min())
-            if math.isnan(low):
-                raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
-            if low < threshold:
-                a, b, i = _closest(dist, pairs)
-                raise CollisionDetected(time, float(nodes[i]), (a, b))
+        _check_separation(psi, dist, threshold, time, nodes, pairs)
         # z/|z|^2 == 1/conj(z)
         np.conjugate(psi, out=term)
         np.divide(1.0, term, out=term)
@@ -523,6 +540,24 @@ def default_energy_cap(
     return factor * scale
 
 
+def _interaction_vanishes(cfg: VortexConfig, orbits: Orbits) -> bool:
+    """Whether the interaction term is identically zero along the run.
+
+    With one orbit representative r every filament is Psi_j = X_j Phi,
+    Phi = 1 + u_r/X_r (an orbit without a representative, a fixed centre,
+    has X = u = 0).  Then Psi_r - Psi_k = (X_r - X_k) Phi, and the sum of r
+    is (1/conj(Phi) - 1) S_r with S_r = sum_{k != r} Gamma_k /
+    conj(X_r - X_k), which vanishes exactly on a stationary backbone
+    (omega = 0), to SYMMETRY_TOL of its terms here.
+    """
+    if orbits.trivial or orbits.reps.size != 1:
+        return False
+    x = cfg.positions
+    others = np.arange(cfg.count) != orbits.reps[0]
+    terms = cfg.circulations[others] / np.conj(x[orbits.reps[0]] - x[others])
+    return abs(terms.sum()) <= SYMMETRY_TOL * float(np.sum(np.abs(terms)))
+
+
 def evolve(
     state: FilamentState,
     T: float,
@@ -546,6 +581,15 @@ def evolve(
     distinct pair rows their sums need.  Every snapshot expands the
     representatives to u_j = a_j u_r and keeps the tag.  Without a tag
     every filament is its own orbit.
+
+    On a single orbit over a stationary backbone (the collision data) the
+    interaction vanishes identically (``_interaction_vanishes``), so the
+    nonlinear substep is the identity and the run is the free flow: it
+    carries the representative's spectrum, advances it by one L(dt) per
+    step, and transforms back once per step, to the midpoint field
+    L(dt/2) u that the separation guard checks at the step's start time.
+    The boundary deviation is read off the spectrum, and the fields are
+    formed only at samples and at a halt.
 
     The pair kernel's buffers, the spectrum, v, the stage input and k1..k4
     are allocated once per run and written through ``out=`` calls in the
@@ -586,9 +630,37 @@ def evolve(
 
     u_vals = _values_matrix(state)[orbits.reps]
     g = cfg.circulations[orbits.reps]
-    half_phase = np.exp(-1j * np.outer(g, grid.wavenumbers**2) * (0.5 * h))
-    rhs = _pair_kernel(cfg, delta_min * min_separation(cfg), grid.nodes, orbits)
-    spec, v, stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(7))
+    dispersion = -1j * np.outer(g, grid.wavenumbers**2)
+    half_phase = np.exp(dispersion * (0.5 * h))
+    threshold = delta_min * min_separation(cfg)
+    free = _interaction_vanishes(cfg, orbits)
+    if free:
+        pairs, _, _, coeffs = pair_rows(cfg, orbits)
+        j, k = pairs
+        full_phase = np.exp(dispersion * h)
+        u_hat = np.fft.fft(u_vals, axis=1)
+        mid = np.empty_like(u_vals)
+        psi = np.empty((j.size, grid.num_points), dtype=np.complex128)
+        dist = np.empty(psi.shape)
+        end_dev = _end_deviation(grid, np.ones(grid.num_points))
+    else:
+        rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
+        spec, v, stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(7))
+
+    def current() -> np.ndarray:
+        # the representatives' rows at the end of the last completed step
+        if free:
+            np.fft.ifft(u_hat, axis=1, out=u_vals)
+        return u_vals
+
+    def free_step(t: float) -> None:
+        np.multiply(u_hat, half_phase, out=mid)
+        np.fft.ifft(mid, axis=1, out=mid)
+        xs = np.exp(1j * omega * t) * x0
+        np.multiply(coeffs, mid, out=psi)
+        np.add((xs[j] - xs[k])[:, None], psi, out=psi)
+        _check_separation(psi, dist, threshold, t, grid.nodes, pairs)
+        np.multiply(u_hat, full_phase, out=u_hat)
 
     def half_linear(vals: np.ndarray, out: np.ndarray) -> None:
         np.fft.fft(vals, axis=1, out=spec)
@@ -602,6 +674,19 @@ def evolve(
     def advance(k: np.ndarray, step: float) -> np.ndarray:
         return np.add(v, np.multiply(step, k, out=stage), out=stage)
 
+    def rk4_step(t: float) -> None:
+        half_linear(u_vals, v)
+        rate(v, t, k1)
+        rate(advance(k1, 0.5 * h), t + 0.5 * h, k2)
+        rate(advance(k2, 0.5 * h), t + 0.5 * h, k3)
+        rate(advance(k3, h), t + h, k4)
+        np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
+        np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
+        np.add(stage, k4, out=stage)
+        np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
+        half_linear(v, u_vals)
+
+    step = free_step if free else rk4_step
     status = STATUS_COMPLETED
     halt_time = None
     collision_sigma = None
@@ -610,39 +695,33 @@ def evolve(
     for n in range(n_steps):
         t = state.time + n * h
         try:
-            half_linear(u_vals, v)
-            rate(v, t, k1)
-            rate(advance(k1, 0.5 * h), t + 0.5 * h, k2)
-            rate(advance(k2, 0.5 * h), t + 0.5 * h, k3)
-            rate(advance(k3, h), t + h, k4)
-            np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
-            np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
-            np.add(stage, k4, out=stage)
-            np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
-            half_linear(v, u_vals)
+            step(t)
         except CollisionDetected as exc:
             status = STATUS_COLLISION
             halt_time = exc.time
             collision_sigma = exc.sigma
             collision_pair = exc.pair
             if states[-1].time != t:  # keep the last healthy snapshot
-                snap = snapshot(u_vals, t)
+                snap = snapshot(current(), t)
                 states.append(snap)
                 reports.append(energies(snap))
             break
         t_new = state.time + (n + 1) * h
 
-        dev = float(np.max(np.abs(u_vals[:, [0, -1]])))
+        if free:
+            dev = end_dev(u_hat[0])
+        else:
+            dev = float(np.max(np.abs(u_vals[:, [0, -1]])))
         if dev > boundary_tol:
             status = STATUS_BOUNDARY
             halt_time = t_new
-            snap = snapshot(u_vals, t_new)
+            snap = snapshot(current(), t_new)
             states.append(snap)
             reports.append(energies(snap))
             break
 
         if (n + 1) % sample_every == 0 or n + 1 == n_steps:
-            snap = snapshot(u_vals, t_new)
+            snap = snapshot(current(), t_new)
             report = energies(snap)
             states.append(snap)
             reports.append(report)

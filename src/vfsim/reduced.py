@@ -27,6 +27,7 @@ from .errors import (
 from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
+    _end_deviation,
     derivative,
     make_field,
     quad_trapezoid,
@@ -211,9 +212,7 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
     xi_sq = grid.wavenumbers**2
     half = np.exp(-0.5j * h * xi_sq)
     full = np.exp(-1j * h * xi_sq)
-    # nodes 0 and M-1 of ifft(spec * half) are spec @ first and spec @ last
-    first = half / grid.num_points
-    last = first * np.exp(-1j * grid.spacing * grid.wavenumbers)
+    end_dev = _end_deviation(grid, half)
 
     _require_floor(np.abs(phi.values) ** 2, floor, time)
     states = [state]
@@ -231,7 +230,7 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
             _require_floor(v.real**2 + v.imag**2, floor, time)
             states.append(PhiState(ComplexField(grid, v, bg), omega, time))
         if bg != 0.0:
-            dev = max(abs(spec @ first), abs(spec @ last))
+            dev = end_dev(spec)
             if dev > boundary_tol:
                 raise BoundaryContaminated(time, dev, boundary_tol)
         spec *= full

@@ -411,6 +411,16 @@ def _write_filament_outputs(out_dir, result, dump_fields: bool) -> list:
     return files
 
 
+def _conserved_drifts(reports) -> dict:
+    """drift_H and drift_A: max |Q(t) - Q(0)| over the sampled reports of
+    the two quantities the filament flow conserves for any data."""
+    first = reports[0]
+    return {
+        "drift_H": max(abs(r.H - first.H) for r in reports),
+        "drift_A": max(abs(r.A - first.A) for r in reports),
+    }
+
+
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
@@ -428,6 +438,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         te0 = tilde_E0(state, result.reports[0])
         report.constants["tilde_E0"] = te0
         report.constants["predicted_T"] = predicted_T(te0, max_pair_norm(state))
+    report.constants.update(_conserved_drifts(result.reports))
     e0 = result.reports[0].E
     drift = max(abs(r.E - e0) for r in result.reports)
     report.constants["drift_E"] = drift
@@ -466,6 +477,7 @@ def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     files = _write_filament_outputs(out_dir, result, dump_fields)
 
     report = _base_report(cfg, result.status, state)
+    report.constants.update(_conserved_drifts(result.reports))
     report.constants["min_sep"] = min(r.min_sep for r in result.reports)
     if result.status == "CollisionDetected":
         report.hitting_times["collision_time"] = result.halt_time

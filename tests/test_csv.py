@@ -5,7 +5,9 @@ blocks of rows at a time.  The oracles below are the row-by-row f-string
 loops the writers used before that helper existed, kept verbatim in
 behaviour: each public writer must produce the same bytes on the same
 data, including nan, +-inf, -0.0, the smallest subnormal and the largest
-double, zero rows and a row count one past a block boundary.
+double, zero rows and a row count one past a block boundary.  A property
+test reads random finite fields back through ``read_fields_csv`` bit for
+bit, signed zeros included.
 """
 
 import io
@@ -13,6 +15,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vfsim.filaments import EnergyReport, write_reports_csv
 from vfsim.grid import (
@@ -20,6 +25,8 @@ from vfsim.grid import (
     ComplexField,
     Grid1D,
     make_field,
+    make_grid,
+    read_fields_csv,
     write_csv,
     write_fields_csv,
 )
@@ -190,3 +197,38 @@ class TestWriteCsv:
     def test_mismatched_shapes_rejected(self, tmp_path, header, columns):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", header, columns)
+
+
+# ---------------------------------------------------------------------------
+# round trip through read_fields_csv
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    """The raw float64 bits of every real and imaginary part."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFieldsRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(4, 12).map(lambda half: make_grid(float(half), 2 * half)),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_bit_for_bit(self, tmp_path_factory, grid, count, data):
+        parts = hnp.arrays(np.float64, (count, 2, grid.num_points), elements=FINITE)
+        fields = []
+        for re, im in data.draw(parts):
+            values = np.empty(grid.num_points, dtype=np.complex128)
+            values.real, values.imag = re, im  # keeps -0.0, unlike re + 1j * im
+            fields.append(make_field(grid, values))
+        path = tmp_path_factory.mktemp("csv") / "fields.csv"
+        write_fields_csv(path, grid, fields)
+        sigma, arrays = read_fields_csv(path)
+        assert np.array_equal(bits(sigma), bits(grid.nodes))
+        assert len(arrays) == count
+        for got, f in zip(arrays, fields):
+            assert np.array_equal(bits(got), bits(f.values))

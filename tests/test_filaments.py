@@ -33,6 +33,14 @@ Covered here:
     dilation, the collision and the parallelogram, chained runs keeping
     the tag, and a property test of one tagged step on N-gons with and
     without a centre, whose snapshot lies on the orbit bit for bit,
+  * the free flow of a single orbit over a stationary backbone: the
+    collision data never build the pair kernel, the centred N = 3 and
+    N = 5 collision data halt on pair (0, 1) at sigma = 0 within a step
+    of the closed-form crossing, a dispersing dilation bump on a short
+    box flags the boundary at the same step as the untagged RK4 run, and
+    a rotating orbit keeps the kernel,
+  * a property test: evolve commutes with a rotation of the backbone and
+    the fields by exp(i theta), on generic and on free-flow data,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
     (also under python -O) and in evolve(),
   * the unordered pair layout of the snapshot quantities: energies(),
@@ -1044,6 +1052,139 @@ class TestSymmetryTag:
         assert plain_end.symmetry is None
         assert max_gap(tagged_end, plain_end) <= 1e-13
         assert_on_orbit(tagged_end)
+
+
+# ---------------------------------------------------------------------------
+# the free flow of a single orbit over a stationary backbone
+# ---------------------------------------------------------------------------
+
+def stationary_polygon(n):
+    """The centred n-gon with Gamma_0 = -(n-1)/2: omega = 0."""
+    return polygon_config(n, 1.0, 1.0, center_circulation=-(n - 1) / 2.0)
+
+
+def crossing_time(grid, threshold):
+    """First t at which min over the nodes of |Phi(t)| of the closed-form
+    collision profile falls to the threshold (bisection)."""
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.abs(analytic_collision_phi(mid, grid.nodes)).min() > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.fixture
+def counted_kernel(monkeypatch):
+    """Count the runs that build the pair kernel; the kernel still works."""
+    built = []
+    exact = vfsim.filaments._pair_kernel
+
+    def counted(*args, **kwargs):
+        built.append(args[0].count)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(vfsim.filaments, "_pair_kernel", counted)
+    return built
+
+
+class TestFreeFlow:
+    def test_collision_never_calls_the_pair_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair kernel was built")
+
+        monkeypatch.setattr(vfsim.filaments, "_pair_kernel", refuse)
+        grid = make_grid(20.0, 512)
+        state = collision_initial_state(4, grid)
+        result = evolve(
+            state, 1.05, 2.5e-4, sample_every=1000, delta_min=0.02, boundary_tol=1e-6
+        )
+        assert result.status == "CollisionDetected"
+        assert result.halt_time == 0.99 and result.collision_pair == (0, 1)
+        # the same data off the orbit need the kernel
+        with pytest.raises(AssertionError, match="pair kernel"):
+            evolve(untagged(state), 0.01, 2.5e-4)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_centred_polygons_halt_at_the_closed_form_crossing(self, n, counted_kernel):
+        grid = make_grid(20.0, 512)
+        state = collision_initial_state(n, grid)
+        assert state.cfg.circulations[0] == -(n - 1) / 2.0
+        dt, delta_min = 2.5e-4, 0.02
+        result = evolve(
+            state, 1.05, dt, sample_every=1000, delta_min=delta_min, boundary_tol=1e-6
+        )
+        assert counted_kernel == []
+        assert result.status == "CollisionDetected"
+        assert result.collision_pair == (0, 1)
+        assert abs(result.collision_sigma) <= grid.spacing
+        crossing = crossing_time(grid, delta_min * min_separation(state.cfg))
+        assert crossing - dt <= result.halt_time <= crossing + dt, (
+            f"halt at t={result.halt_time}, closed-form crossing at {crossing}"
+        )
+
+    def test_boundary_halt_matches_untagged(self, counted_kernel):
+        """A dispersing dilation bump on a short box: the free flow and the
+        RK4 run of the same data untagged flag the same step."""
+        grid = make_grid(10.0, 128)
+        state = dilation_state(stationary_polygon(4), gaussian_profile(grid))
+        assert state.symmetry.name == "C4+center"
+        free = evolve(state, 1.0, 1e-3, sample_every=100)
+        assert counted_kernel == []
+        plain = evolve(untagged(state), 1.0, 1e-3, sample_every=100)
+        assert counted_kernel == [5]
+        assert free.status == plain.status == "BoundaryContaminated"
+        assert 0.0 < free.halt_time == plain.halt_time < 1.0
+        assert free.states[-1].time == free.halt_time
+        assert max_gap(free.states[-1], plain.states[-1]) <= 1e-10
+        assert_on_orbit(free.states[-1])
+
+    def test_rotating_orbit_keeps_the_kernel(self, counted_kernel):
+        """omega != 0: the interaction does not vanish on the orbit."""
+        state = dilation_state(TRIANGLE, gaussian_profile(GRID))
+        evolve(state, 0.01, 1e-3)
+        assert counted_kernel == [3]
+
+
+def rotated(state, angle):
+    """The state turned by exp(i angle): the backbone and every field."""
+    turn = np.exp(1j * angle)
+    cfg = dataclasses.replace(state.cfg, positions=turn * state.cfg.positions)
+    fields = [make_field(state.grid, turn * f.values) for f in state.u]
+    tag = rotation_symmetry(cfg) if state.symmetry is not None else None
+    return filament_state(fields, cfg, time=state.time, symmetry=tag)
+
+
+@st.composite
+def stationary_orbit_states(draw):
+    """Random dilation data on a centred N-gon with omega = 0: the free flow."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bump = np.exp(-((KERNEL_GRID.nodes - rng.uniform(-1.0, 1.0)) ** 2))
+    amp = 0.2 * complex(*rng.uniform(-1.0, 1.0, 2))
+    phi = make_field(KERNEL_GRID, 1.0 + amp * bump, background=1.0)
+    return dilation_state(stationary_polygon(n), phi)
+
+
+class TestRotationEquivariance:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(kernel_states(), stationary_orbit_states()),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_evolve_commutes_with_a_backbone_rotation(self, state, angle):
+        guards = dict(sample_every=2, boundary_tol=math.inf, energy_cap=0.0)
+        base = evolve(state, 4e-3, 1e-3, **guards)
+        turned = evolve(rotated(state, angle), 4e-3, 1e-3, **guards)
+        assert turned.status == base.status == "Completed"
+        turn = np.exp(1j * angle)
+        for a, b in zip(base.states, turned.states, strict=True):
+            assert a.time == b.time
+            scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in a.u))
+            for fa, fb in zip(a.u, b.u):
+                assert np.max(np.abs(fb.values - turn * fa.values)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Covered here:
     trip, grid mismatch rejection,
   * per-scenario runs on small grids: emitted files, status.json
     structure (status, constants, versions, acceptance tag, symmetry
-    tag), exit codes, the scipy version read once per process,
+    tag), exit codes, the scipy version read once per process, the drifts
+    of H and A in every filament run's constants,
   * guard mapping: a collision maps to exit code 3 with hitting times,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
@@ -314,6 +315,35 @@ class TestScenarioRuns:
         report = run(cfg, tmp_path)
         assert report.status == "Completed"
         assert load_status(tmp_path)["symmetry"] == "C4+center"
+
+    def test_hexagon_bumps_report_conserved_drifts(self, tmp_path):
+        """drift_H and drift_A in status.json match energies.csv, and H and A
+        are conserved on generic data (E is not)."""
+        cfg = parse_config_dict(
+            {
+                "scenario": "square",
+                "config": {"kind": "hexagon"},
+                "grid": {"L": 40.0, "M": 1024},
+                "perturbation": {"kind": "gaussian", "amp": 0.01, "seed": 3},
+                "time": {"T": 0.1, "dt": 1e-3},
+            }
+        )
+        assert run(cfg, tmp_path).status == "Completed"
+        constants = load_status(tmp_path)["constants"]
+        rows = np.genfromtxt(tmp_path / "energies.csv", delimiter=",", names=True)
+        h, a, e = rows["H"], rows["A"], rows["E"]
+        assert constants["drift_H"] == np.max(np.abs(h - h[0]))
+        assert constants["drift_A"] == np.max(np.abs(a - a[0]))
+        assert constants["drift_H"] <= 1e-6 * (abs(h[0]) + e[0])
+        assert constants["drift_A"] <= 1e-10
+
+    def test_collision_reports_conserved_drifts(self, tmp_path):
+        cfg = scenario_defaults("collision")
+        cfg.M, cfg.dt, cfg.T = 256, 1e-3, 0.1
+        run(cfg, tmp_path)
+        constants = load_status(tmp_path)["constants"]
+        assert 0.0 <= constants["drift_H"] <= 1e-10
+        assert 0.0 <= constants["drift_A"] <= 1e-10
 
     def test_versions_read_once_per_process(self, monkeypatch):
         calls = []
