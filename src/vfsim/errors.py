@@ -135,9 +135,9 @@ class BoundViolated(VfsimError):
     """A constructed object failed one of its certified bounds."""
 
 
-class WrongN(VfsimError):
-    """An operation specific to one filament count was called with another."""
-
-
 class WrongConfig(VfsimError):
     """The backbone configuration does not match what the identity assumes."""
+
+
+class WrongN(WrongConfig):
+    """An operation specific to one filament count was called with another."""

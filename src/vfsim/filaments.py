@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     BoundViolated,
+    BoundaryContaminated,
     CollisionDetected,
     ConfigError,
     NumericalGuard,
@@ -53,7 +54,7 @@ from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
     Grid1D,
-    _end_deviation,
+    _split_steps,
     derivative,
     make_field,
     quad_trapezoid,
@@ -570,11 +571,13 @@ def evolve(
 ) -> EvolutionResult:
     """Evolve the perturbation system for time T by Strang splitting.
 
-    Each step is a half linear step (per-filament exact Fourier propagator
-    with gamma = Gamma_j), a full RK4 step on the pointwise interaction
-    (non-autonomous: the backbone is evaluated at the stage times t, t+dt/2,
-    t+dt), and a second half linear step.  dt is limited only by splitting
-    accuracy; the linear part is exact at any step size.
+    Each step is L(dt/2) N(dt) L(dt/2), run by the split-step loop
+    ``grid._split_steps``: L is the per-filament exact Fourier propagator
+    with gamma = Gamma_j, N a full RK4 step on the pointwise interaction
+    (non-autonomous: the backbone is evaluated at the stage times t,
+    t+dt/2, t+dt).  dt is limited only by splitting accuracy; the linear
+    part is exact at any step size.  Between samples the loop fuses the
+    half step closing one step with the one opening the next.
 
     A state with a symmetry tag evolves only its orbit representatives: the
     FFTs and the RK4 stages run on their rows, and the pair kernel on the
@@ -583,28 +586,25 @@ def evolve(
     every filament is its own orbit.
 
     On a single orbit over a stationary backbone (the collision data) the
-    interaction vanishes identically (``_interaction_vanishes``), so the
-    nonlinear substep is the identity and the run is the free flow: it
-    carries the representative's spectrum, advances it by one L(dt) per
-    step, and transforms back once per step, to the midpoint field
-    L(dt/2) u that the separation guard checks at the step's start time.
-    The boundary deviation is read off the spectrum, and the fields are
-    formed only at samples and at a halt.
+    interaction vanishes identically (``_interaction_vanishes``), so N is
+    the identity and the run is the free flow: the substep only guards the
+    separation of the midpoint field L(dt/2) u at the step's start time,
+    and a step takes one inverse transform.
 
-    The pair kernel's buffers, the spectrum, v, the stage input and k1..k4
-    are allocated once per run and written through ``out=`` calls in the
-    order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so the
-    result is bit for bit that of fresh temporaries.  The state at the start
-    of a step is overwritten only once the step has succeeded.
+    The pair kernel's buffers, the stage input and k1..k4 are allocated
+    once per run and written through ``out=`` calls in the order of
+    v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so a run sampled
+    at every step is bit for bit that of fresh temporaries.
 
     The run halts early with status CollisionDetected when filaments approach
     within delta_min times the backbone spacing, EnergyCapExceeded when a
     sampled E(t) exceeds the cap (default_energy_cap with energy_cap_factor,
     from the t = 0 report; pass energy_cap to override, 0 or inf to disarm),
     and BoundaryContaminated when a perturbation stops being flat at the
-    domain ends.  A NaN state
-    raises NumericalGuard.  States and reports are recorded at t = 0, every
-    ``sample_every`` steps, at the final time, and at the halt.
+    domain ends.  A NaN state raises NumericalGuard.  States and reports
+    are recorded at t = 0, every ``sample_every`` steps, at the final time,
+    and at the halt: a collision keeps the state at the start of the
+    failing step, the boundary guard the state at the end of the step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -620,115 +620,69 @@ def evolve(
     grid = state.grid
     x0 = cfg.positions
     orbits = Orbits(state.symmetry, state.count)
-
     n_steps = max(int(round(T / dt)), 0)
     h = T / n_steps if n_steps else 0.0
-
-    def snapshot(u_vals: np.ndarray, t: float) -> FilamentState:
-        fields = tuple(make_field(grid, row) for row in orbits.expand(u_vals))
-        return FilamentState(u=fields, cfg=cfg, time=t, symmetry=state.symmetry)
-
     u_vals = _values_matrix(state)[orbits.reps]
-    g = cfg.circulations[orbits.reps]
-    dispersion = -1j * np.outer(g, grid.wavenumbers**2)
-    half_phase = np.exp(dispersion * (0.5 * h))
     threshold = delta_min * min_separation(cfg)
-    free = _interaction_vanishes(cfg, orbits)
-    if free:
+
+    if _interaction_vanishes(cfg, orbits):
         pairs, _, _, coeffs = pair_rows(cfg, orbits)
         j, k = pairs
-        full_phase = np.exp(dispersion * h)
-        u_hat = np.fft.fft(u_vals, axis=1)
-        mid = np.empty_like(u_vals)
         psi = np.empty((j.size, grid.num_points), dtype=np.complex128)
         dist = np.empty(psi.shape)
-        end_dev = _end_deviation(grid, np.ones(grid.num_points))
+
+        def substep(v: np.ndarray, t: float) -> bool:
+            # the free flow: N is the identity, so only guard the midpoint
+            xs = np.exp(1j * omega * t) * x0
+            np.multiply(coeffs, v, out=psi)
+            np.add((xs[j] - xs[k])[:, None], psi, out=psi)
+            _check_separation(psi, dist, threshold, t, grid.nodes, pairs)
+            return False
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
-        spec, v, stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(7))
+        stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(5))
 
-    def current() -> np.ndarray:
-        # the representatives' rows at the end of the last completed step
-        if free:
-            np.fft.ifft(u_hat, axis=1, out=u_vals)
-        return u_vals
+        def rate(vals: np.ndarray, t: float, out: np.ndarray) -> None:
+            xs = np.exp(1j * omega * t) * x0
+            np.multiply(1j, rhs(vals, xs, t, out), out=out)
 
-    def free_step(t: float) -> None:
-        np.multiply(u_hat, half_phase, out=mid)
-        np.fft.ifft(mid, axis=1, out=mid)
-        xs = np.exp(1j * omega * t) * x0
-        np.multiply(coeffs, mid, out=psi)
-        np.add((xs[j] - xs[k])[:, None], psi, out=psi)
-        _check_separation(psi, dist, threshold, t, grid.nodes, pairs)
-        np.multiply(u_hat, full_phase, out=u_hat)
+        def advance(v: np.ndarray, k: np.ndarray, step: float) -> np.ndarray:
+            return np.add(v, np.multiply(step, k, out=stage), out=stage)
 
-    def half_linear(vals: np.ndarray, out: np.ndarray) -> None:
-        np.fft.fft(vals, axis=1, out=spec)
-        np.multiply(spec, half_phase, out=spec)
-        np.fft.ifft(spec, axis=1, out=out)
+        def substep(v: np.ndarray, t: float) -> bool:
+            rate(v, t, k1)
+            rate(advance(v, k1, 0.5 * h), t + 0.5 * h, k2)
+            rate(advance(v, k2, 0.5 * h), t + 0.5 * h, k3)
+            rate(advance(v, k3, h), t + h, k4)
+            np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
+            np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
+            np.add(stage, k4, out=stage)
+            np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
+            return True
 
-    def rate(vals: np.ndarray, t: float, out: np.ndarray) -> None:
-        xs = np.exp(1j * omega * t) * x0
-        np.multiply(1j, rhs(vals, xs, t, out), out=out)
-
-    def advance(k: np.ndarray, step: float) -> np.ndarray:
-        return np.add(v, np.multiply(step, k, out=stage), out=stage)
-
-    def rk4_step(t: float) -> None:
-        half_linear(u_vals, v)
-        rate(v, t, k1)
-        rate(advance(k1, 0.5 * h), t + 0.5 * h, k2)
-        rate(advance(k2, 0.5 * h), t + 0.5 * h, k3)
-        rate(advance(k3, h), t + h, k4)
-        np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
-        np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
-        np.add(stage, k4, out=stage)
-        np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
-        half_linear(v, u_vals)
-
-    step = free_step if free else rk4_step
-    status = STATUS_COMPLETED
-    halt_time = None
-    collision_sigma = None
-    collision_pair = None
-
-    for n in range(n_steps):
-        t = state.time + n * h
-        try:
-            step(t)
-        except CollisionDetected as exc:
-            status = STATUS_COLLISION
-            halt_time = exc.time
-            collision_sigma = exc.sigma
-            collision_pair = exc.pair
-            if states[-1].time != t:  # keep the last healthy snapshot
-                snap = snapshot(current(), t)
-                states.append(snap)
-                reports.append(energies(snap))
-            break
-        t_new = state.time + (n + 1) * h
-
-        if free:
-            dev = end_dev(u_hat[0])
-        else:
-            dev = float(np.max(np.abs(u_vals[:, [0, -1]])))
-        if dev > boundary_tol:
-            status = STATUS_BOUNDARY
-            halt_time = t_new
-            snap = snapshot(current(), t_new)
+    dispersion = -1j * np.outer(cfg.circulations[orbits.reps], grid.wavenumbers**2)
+    status, halt_time, collision_sigma, collision_pair = STATUS_COMPLETED, None, None, None
+    for t, rows, halt in _split_steps(
+        grid, u_vals, dispersion, state.time, n_steps, h, sample_every, substep,
+        boundary_tol,
+    ):
+        if isinstance(halt, NumericalGuard):
+            raise halt
+        if t != states[-1].time:  # a halt right after a sample keeps that sample
+            snap = FilamentState(
+                u=tuple(make_field(grid, row) for row in orbits.expand(rows)),
+                cfg=cfg, time=t, symmetry=state.symmetry,
+            )
             states.append(snap)
             reports.append(energies(snap))
+        if isinstance(halt, CollisionDetected):
+            status, halt_time = STATUS_COLLISION, halt.time
+            collision_sigma, collision_pair = halt.sigma, halt.pair
+        elif isinstance(halt, BoundaryContaminated):
+            status, halt_time = STATUS_BOUNDARY, halt.time
+        elif energy_cap is not None and reports[-1].E > energy_cap:
+            status, halt_time = STATUS_ENERGY_CAP, t
             break
-
-        if (n + 1) % sample_every == 0 or n + 1 == n_steps:
-            snap = snapshot(current(), t_new)
-            report = energies(snap)
-            states.append(snap)
-            reports.append(report)
-            if energy_cap is not None and report.E > energy_cap:
-                status = STATUS_ENERGY_CAP
-                halt_time = t_new
-                break
 
     return EvolutionResult(
         status=status,
@@ -785,12 +739,8 @@ def _require_plain_four(state: FilamentState) -> None:
 
 
 def _require_unit_square(state: FilamentState) -> None:
+    _require_plain_four(state)
     cfg = state.cfg
-    if state.count != 4 or cfg.has_center:
-        raise WrongConfig(
-            f"needs a plain 4-vortex configuration, got {state.count} "
-            f"(has_center={cfg.has_center})"
-        )
     x = cfg.positions
     if not np.allclose(np.abs(x), 1.0, atol=1e-12):
         raise WrongConfig("square identity needs radius 1")
@@ -859,11 +809,7 @@ def check_Lv_vanishes(state: FilamentState) -> tuple[float, float]:
     identically (the geometry turns the projections into plain sums); on a
     distorted backbone they do not, which is what makes this a usable check.
     """
-    if state.count != 4 or state.cfg.has_center:
-        raise WrongConfig(
-            f"needs a plain 4-filament configuration, got {state.count} "
-            f"(has_center={state.cfg.has_center})"
-        )
+    _require_plain_four(state)
     xs = backbone(state)
     u_vals = _values_matrix(state)
 

@@ -1,4 +1,4 @@
-"""Periodic grid, exact linear propagation, and spectral utilities.
+"""Periodic grid, exact linear propagation, split steps, spectral utilities.
 
 Everything downstream works on a uniform grid over [-L, L) with M nodes.
 Fields that tend to a nonzero constant at the domain ends (profiles close
@@ -14,7 +14,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import BoundaryContaminated, InvalidGrid, VfsimError
 
 #: Default tolerance for the "field is flat at the domain ends" guard.
 DEFAULT_BOUNDARY_TOL = 1e-10
@@ -98,20 +98,63 @@ def boundary_deviation(f: ComplexField) -> float:
     return float(max(dev0, dev1))
 
 
-def _end_deviation(grid: Grid1D, phase: np.ndarray):
-    """dev(spec): max(|node 0|, |node M-1|) of ifft(spec * phase), in O(M).
+def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
+                 t0: float, n_steps: int, h: float, sample_every: int,
+                 substep, boundary_tol: float):
+    """Strang steps L(h/2) N(h) L(h/2) of zero-background rows on ``grid``.
 
-    The two end nodes of an inverse transform are dot products with the
-    spectrum, so a split-step loop that carries a field's spectrum reads
-    its boundary deviation without transforming back.
+    L(t) is the exact Fourier propagator exp(dispersion * t), with one row
+    of ``dispersion`` per row of ``rows``.  substep(v, t) applies N(h) in
+    place to the midpoint rows v = L(h/2) u of the step that starts at t
+    and returns True, or returns False when N is the identity and it only
+    checked v; then the step needs no forward transform.  The first step,
+    and every step after a sample, opens from the physical rows as
+    fft(u) L(h/2); any other step opens from spec L(h), spec the spectrum
+    of the previous midpoint after N.  The boundary deviation, the largest
+    |u| at the two end nodes, is read off the spectrum after every step.
+
+    Yields (t, rows, None) every ``sample_every`` steps and after the last
+    one, rows = ifft(spec L(h/2)) at time t.  The next step opens from the
+    yielded array, so a caller may round it in place to the field it
+    stores, and a run restarted from that field repeats the same steps.
+    A guard ends the run with one last yield (t, rows, halt): a VfsimError
+    that substep raised, with the rows at the start of the failing step,
+    or BoundaryContaminated, with the rows at the end of the step.
     """
-    first = phase / grid.num_points
-    last = first * np.exp(-1j * grid.spacing * grid.wavenumbers)
-
-    def dev(spec: np.ndarray) -> float:
-        return max(abs(spec @ first), abs(spec @ last))
-
-    return dev
+    half = np.exp(dispersion * (0.5 * h))
+    full = np.exp(dispersion * h)
+    # node 0 and node M-1 of ifft(spec * half), as products with spec
+    first = half / grid.num_points
+    ends = np.stack([first, first * np.exp(-1j * grid.spacing * grid.wavenumbers)], axis=1)
+    nodes = np.empty(ends.shape[:2] + (1,), dtype=np.complex128)
+    spec, opened, v = (np.empty_like(rows) for _ in range(3))
+    start = rows  # the physical rows the next step opens from, or None
+    for n in range(n_steps):
+        t = t0 + n * h
+        if start is None:
+            np.multiply(spec, full, out=opened)
+        else:
+            np.fft.fft(start, axis=1, out=opened)
+            np.multiply(opened, half, out=opened)
+        np.fft.ifft(opened, axis=1, out=v)
+        try:
+            changed = substep(v, t)
+        except VfsimError as exc:
+            yield t, np.fft.ifft(spec * half, axis=1) if start is None else start, exc
+            return
+        if changed:
+            np.fft.fft(v, axis=1, out=spec)
+        else:
+            spec, opened = opened, spec
+        t = t0 + (n + 1) * h
+        dev = float(np.abs(np.matmul(ends, spec[:, :, None], out=nodes)).max())
+        halt = BoundaryContaminated(t, dev, boundary_tol) if dev > boundary_tol else None
+        start = None
+        if halt is not None or (n + 1) % sample_every == 0 or n + 1 == n_steps:
+            start = np.fft.ifft(spec * half, axis=1)
+            yield t, start, halt
+            if halt is not None:
+                return
 
 
 def linear_propagate(f: ComplexField, gamma: float, t: float) -> ComplexField:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BoundViolated,
-    BoundaryContaminated,
     GinzburgViolated,
     IncompatibleWavenumber,
     PreconditionViolated,
@@ -27,7 +26,7 @@ from .errors import (
 from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
-    _end_deviation,
+    _split_steps,
     derivative,
     make_field,
     quad_trapezoid,
@@ -206,34 +205,39 @@ def _require_floor(mod_sq: np.ndarray, floor: float, time: float) -> None:
 def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
             delta_mod: float, boundary_tol: float) -> list[PhiState]:
     """The states at the start, every ``sample_every`` steps and the end."""
-    phi, omega, time = state.phi, state.omega, state.time
+    phi, omega = state.phi, state.omega
     grid, bg = phi.grid, phi.background
     floor = delta_mod if omega != 0.0 else 0.0
-    xi_sq = grid.wavenumbers**2
-    half = np.exp(-0.5j * h * xi_sq)
-    full = np.exp(-1j * h * xi_sq)
-    end_dev = _end_deviation(grid, half)
+    _require_floor(np.abs(phi.values) ** 2, floor, state.time)
+    rotation = np.empty((1, grid.num_points), dtype=np.complex128)
 
-    _require_floor(np.abs(phi.values) ** 2, floor, time)
+    def rotate(v: np.ndarray, time: float) -> bool:
+        # the exact flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1))
+        if omega == 0.0:
+            return False
+        v += bg
+        mod_sq = v.real**2 + v.imag**2
+        _require_floor(mod_sq, floor, time)
+        theta = omega * h * (1.0 / mod_sq - 1.0)
+        # the bits of np.exp(1j * theta), without the complex exponential
+        np.cos(theta, out=rotation.real)
+        np.sin(theta, out=rotation.imag)
+        v *= rotation
+        v -= bg
+        return True
+
     states = [state]
-    spec = np.fft.fft(phi.values - bg) * half
-    for n in range(n_steps):
-        if omega != 0.0:
-            v = np.fft.ifft(spec) + bg
-            mod_sq = v.real**2 + v.imag**2
-            _require_floor(mod_sq, floor, time)
-            v *= np.exp(1j * omega * h * (1.0 / mod_sq - 1.0))
-            spec = np.fft.fft(v - bg)
-        time = time + h
-        if (n + 1) % sample_every == 0 or n + 1 == n_steps:
-            v = np.fft.ifft(spec * half) + bg
-            _require_floor(v.real**2 + v.imag**2, floor, time)
-            states.append(PhiState(ComplexField(grid, v, bg), omega, time))
-        if bg != 0.0:
-            dev = end_dev(spec)
-            if dev > boundary_tol:
-                raise BoundaryContaminated(time, dev, boundary_tol)
-        spec *= full
+    for time, rows, halt in _split_steps(
+        grid, (phi.values - bg)[None, :], -1j * grid.wavenumbers[None, :] ** 2,
+        state.time, n_steps, h, sample_every, rotate,
+        boundary_tol if bg != 0.0 else np.inf,
+    ):
+        v = rows[0] + bg
+        _require_floor(v.real**2 + v.imag**2, floor, time)
+        if halt is not None:
+            raise halt
+        rows[0] = v - bg  # the next step opens from the stored field
+        states.append(PhiState(ComplexField(grid, v, bg), omega, time))
     return states
 
 
@@ -252,11 +256,12 @@ def evolve_bm(
 ) -> tuple[list[PhiState], list[EnergySample]]:
     """Evolve for time T by Strang splitting, recording states and energies.
 
-    Each step is L(h/2) N(h) L(h/2): L the exact Fourier propagator, N the
-    exact nonlinear flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1)), which
-    keeps |Phi| fixed.  The L(h/2) closing a step and the one opening the
-    next are fused into one L(h), so the field leaves Fourier space only at
-    the midpoints N acts on and at the samples: t = 0, every
+    Each step is L(h/2) N(h) L(h/2), run by the split-step loop
+    ``grid._split_steps``: L the exact Fourier propagator, N the exact
+    nonlinear flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1)), which keeps
+    |Phi| fixed.  Between samples the L(h/2) closing a step and the one
+    opening the next are fused into one L(h), so the field leaves Fourier
+    space only at the midpoints N acts on and at the samples: t = 0, every
     ``sample_every`` steps, and the final time.  The run raises ZeroModulus
     when a midpoint or a sample falls below the modulus floor or holds a NaN
     (omega = 0 has no floor), and BoundaryContaminated when the end nodes,

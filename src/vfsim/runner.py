@@ -421,6 +421,12 @@ def _conserved_drifts(reports) -> dict:
     }
 
 
+def _record_collision(report: RunReport, time: float, sigma: float,
+                      pair: tuple[int, int]) -> None:
+    """Write a collision halt into the report's hitting times."""
+    report.hitting_times.update(collision_time=time, sigma_star=sigma, pair=list(pair))
+
+
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
@@ -453,9 +459,8 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     if growth.vw_C is not None:
         report.constants["vw_C"] = growth.vw_C
     if result.status == "CollisionDetected":
-        report.hitting_times["collision_time"] = result.halt_time
-        report.hitting_times["sigma_star"] = result.collision_sigma
-        report.hitting_times["pair"] = list(result.collision_pair)
+        _record_collision(report, result.halt_time, result.collision_sigma,
+                          result.collision_pair)
     elif result.status == "EnergyCapExceeded":
         report.hitting_times["cap_time"] = result.halt_time
         report.constants["energy_cap"] = result.energy_cap
@@ -480,9 +485,8 @@ def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     report.constants.update(_conserved_drifts(result.reports))
     report.constants["min_sep"] = min(r.min_sep for r in result.reports)
     if result.status == "CollisionDetected":
-        report.hitting_times["collision_time"] = result.halt_time
-        report.hitting_times["sigma_star"] = result.collision_sigma
-        report.hitting_times["pair"] = list(result.collision_pair)
+        _record_collision(report, result.halt_time, result.collision_sigma,
+                          result.collision_pair)
     report.files = files
     return report
 
@@ -607,9 +611,7 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
         report = _base_report(cfg, status)
         report.constants["error"] = str(exc)
         if isinstance(exc, CollisionDetected):
-            report.hitting_times["collision_time"] = exc.time
-            report.hitting_times["sigma_star"] = exc.sigma
-            report.hitting_times["pair"] = list(exc.pair)
+            _record_collision(report, exc.time, exc.sigma, exc.pair)
         elif isinstance(exc, BoundaryContaminated):
             report.hitting_times["halt_time"] = exc.time
     write_status(out_dir, report)
