@@ -255,25 +255,28 @@ def min_separation_field(
     return float(dist.min()), float(state.grid.nodes[i]), (j, k)
 
 
-def _check_separation(
+def _separation_halt(
     psi: np.ndarray,
     dist: np.ndarray,
     threshold: float,
-    time: float,
+    times: list[float],
     nodes: np.ndarray,
     pairs: tuple[np.ndarray, np.ndarray],
-) -> None:
-    """Write |psi| into ``dist`` and guard it: psi holds Psi_j - Psi_k on
-    the rows of ``pairs``.  Raises NumericalGuard on a NaN separation and
-    CollisionDetected, at the first minimum, below the threshold."""
+) -> tuple[int, NumericalGuard | CollisionDetected] | None:
+    """Write |psi| into ``dist`` and find the first step whose separation
+    halts the run: psi holds Psi_j - Psi_k on the rows of ``pairs``, one
+    (P, M) block per start time in ``times``.  Returns (i, NumericalGuard) for a NaN separation at step
+    i, (i, CollisionDetected) at the first minimum of step i below the
+    threshold, for the first such step i, or None."""
     np.abs(psi, out=dist)
-    if dist.size:
-        low = float(dist.min())
-        if math.isnan(low):
-            raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
-        if low < threshold:
-            a, b, i = _closest(dist, pairs)
-            raise CollisionDetected(time, float(nodes[i]), (a, b))
+    if not dist.size or dist.min() >= threshold:
+        return None
+    low = dist.reshape(len(times), -1).min(axis=1)
+    i = int(np.flatnonzero(~(low >= threshold))[0])
+    if math.isnan(low[i]):
+        return i, NumericalGuard(f"NaN filament separation at t={times[i]:.6g}")
+    a, b, s = _closest(dist[i], pairs)
+    return i, CollisionDetected(times[i], float(nodes[s]), (a, b))
 
 
 def _pair_kernel(
@@ -287,22 +290,31 @@ def _pair_kernel(
     separation threshold and NumericalGuard on a NaN separation.  Only the
     distinct pair rows of ``pair_rows`` are evaluated, each once; a row
     enters a sum with its sign (term_kj = -term_jk, exact under negation).
-    Every representative's sum runs over k in ascending order: at a
-    symmetric collapse several pairs tie up to roundoff, and this order
-    decides which of them trips the detector.
+    Without a symmetry every filament's sum runs over k in ascending order:
+    at a symmetric collapse several pairs tie up to roundoff, and this
+    order decides which of them trips the detector.  With a symmetry the
+    representatives' sums are one product of the rows with the (R, P)
+    matrix of the signed circulations each row enters with.
     """
     pairs, gather, weights, coeffs = pair_rows(cfg, orbits)
     j, k = pairs
     n, m = cfg.count, nodes.size
-    # without a symmetry the rows are all pairs in row-major order, and the
-    # pairs (a, a+1..n-1) are rows[a]:rows[a+1]
-    rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
-    terms = np.empty(gather.shape + (m,), dtype=np.complex128)
-    # every row serves at least one term, and psi is dead once term is
-    # formed, so psi lives in the terms buffer
-    psi = terms.reshape(-1, m)[:j.size]
     term = np.empty((j.size, m), dtype=np.complex128)
     dist = np.empty((j.size, m))
+    if orbits.trivial:
+        # the rows are all pairs in row-major order, and the pairs
+        # (a, a+1..n-1) are rows[a]:rows[a+1]
+        rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
+        terms = np.empty(gather.shape + (m,), dtype=np.complex128)
+        # every row serves at least one term, and psi is dead once term is
+        # formed, so psi lives in the terms buffer
+        psi = terms.reshape(-1, m)[:j.size]
+    else:
+        # matrix[r, p] sums the signed Gamma_k of the terms of
+        # representative r that are row p
+        matrix = np.zeros((orbits.reps.size, j.size), dtype=np.complex128)
+        np.add.at(matrix, (np.arange(orbits.reps.size)[:, None], gather), weights[..., 0])
+        psi = np.empty((j.size, m), dtype=np.complex128)
 
     def rhs(rep_vals, xs, time, out):
         if orbits.trivial:
@@ -312,11 +324,15 @@ def _pair_kernel(
             np.matmul(coeffs, rep_vals, out=psi)
         xd = xs[j] - xs[k]
         np.add(xd[:, None], psi, out=psi)
-        _check_separation(psi, dist, threshold, time, nodes, pairs)
+        halt = _separation_halt(psi[None], dist[None], threshold, [time], nodes, pairs)
+        if halt is not None:
+            raise halt[1]
         # z/|z|^2 == 1/conj(z)
         np.conjugate(psi, out=term)
         np.divide(1.0, term, out=term)
         np.subtract(term, (1.0 / np.conj(xd))[:, None], out=term)
+        if not orbits.trivial:
+            return np.matmul(matrix, term, out=out)
         # +-Gamma_k term_rk for each representative r and k != r (the
         # indices are in range; mode "raise" would buffer the output), then
         # the sum over ascending k: a reduction over an axis that is not
@@ -587,9 +603,12 @@ def evolve(
 
     On a single orbit over a stationary backbone (the collision data) the
     interaction vanishes identically (``_interaction_vanishes``), so N is
-    the identity and the run is the free flow: the substep only guards the
-    separation of the midpoint field L(dt/2) u at the step's start time,
-    and a step takes one inverse transform.
+    the identity and the run is the free flow, which the loop advances in
+    blocks of steps: a block's midpoint fields L(dt/2) u come from one
+    batched inverse transform, and one vectorised guard checks the
+    separation of each at its step's start time.  The first failing step
+    halts the run, with the same state, time, pair and sigma as a
+    step-by-step check.
 
     The pair kernel's buffers, the stage input and k1..k4 are allocated
     once per run and written through ``out=`` calls in the order of
@@ -628,16 +647,21 @@ def evolve(
     if _interaction_vanishes(cfg, orbits):
         pairs, _, _, coeffs = pair_rows(cfg, orbits)
         j, k = pairs
-        psi = np.empty((j.size, grid.num_points), dtype=np.complex128)
-        dist = np.empty(psi.shape)
+        psi = dist = None
 
-        def substep(v: np.ndarray, t: float) -> bool:
-            # the free flow: N is the identity, so only guard the midpoint
-            xs = np.exp(1j * omega * t) * x0
-            np.multiply(coeffs, v, out=psi)
-            np.add((xs[j] - xs[k])[:, None], psi, out=psi)
-            _check_separation(psi, dist, threshold, t, grid.nodes, pairs)
-            return False
+        def guard(v: np.ndarray, times: list[float]):
+            # the free flow: N is the identity, so only guard the midpoints
+            nonlocal psi, dist
+            b = len(times)
+            if psi is None or psi.shape[0] < b:
+                psi = np.empty((b, j.size, grid.num_points), dtype=np.complex128)
+                dist = np.empty(psi.shape)
+            xs = np.exp(1j * omega * np.array(times))[:, None] * x0
+            np.multiply(coeffs, v, out=psi[:b])
+            np.add((xs[:, j] - xs[:, k])[:, :, None], psi[:b], out=psi[:b])
+            return _separation_halt(psi[:b], dist[:b], threshold, times, grid.nodes, pairs)
+
+        flow = dict(guard=guard, guard_rows=j.size)
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
         stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(5))
@@ -649,7 +673,7 @@ def evolve(
         def advance(v: np.ndarray, k: np.ndarray, step: float) -> np.ndarray:
             return np.add(v, np.multiply(step, k, out=stage), out=stage)
 
-        def substep(v: np.ndarray, t: float) -> bool:
+        def substep(v: np.ndarray, t: float) -> None:
             rate(v, t, k1)
             rate(advance(v, k1, 0.5 * h), t + 0.5 * h, k2)
             rate(advance(v, k2, 0.5 * h), t + 0.5 * h, k3)
@@ -658,13 +682,14 @@ def evolve(
             np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
             np.add(stage, k4, out=stage)
             np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
-            return True
+
+        flow = dict(substep=substep)
 
     dispersion = -1j * np.outer(cfg.circulations[orbits.reps], grid.wavenumbers**2)
     status, halt_time, collision_sigma, collision_pair = STATUS_COMPLETED, None, None, None
     for t, rows, halt in _split_steps(
-        grid, u_vals, dispersion, state.time, n_steps, h, sample_every, substep,
-        boundary_tol,
+        grid, u_vals, dispersion, state.time, n_steps, h, sample_every, boundary_tol,
+        **flow,
     ):
         if isinstance(halt, NumericalGuard):
             raise halt

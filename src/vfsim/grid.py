@@ -19,6 +19,9 @@ from .errors import BoundaryContaminated, InvalidGrid, VfsimError
 #: Default tolerance for the "field is flat at the domain ends" guard.
 DEFAULT_BOUNDARY_TOL = 1e-10
 
+#: Complex numbers in one block of identity steps of _split_steps (per array).
+_BLOCK_ELEMENTS = 2**14
+
 #: Rows that write_csv formats per write; bounds the text held in memory.
 CSV_BLOCK_ROWS = 1024
 
@@ -100,61 +103,98 @@ def boundary_deviation(f: ComplexField) -> float:
 
 def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
                  t0: float, n_steps: int, h: float, sample_every: int,
-                 substep, boundary_tol: float):
+                 boundary_tol: float, substep=None, guard=None, guard_rows: int = 0):
     """Strang steps L(h/2) N(h) L(h/2) of zero-background rows on ``grid``.
 
     L(t) is the exact Fourier propagator exp(dispersion * t), with one row
-    of ``dispersion`` per row of ``rows``.  substep(v, t) applies N(h) in
-    place to the midpoint rows v = L(h/2) u of the step that starts at t
-    and returns True, or returns False when N is the identity and it only
-    checked v; then the step needs no forward transform.  The first step,
-    and every step after a sample, opens from the physical rows as
-    fft(u) L(h/2); any other step opens from spec L(h), spec the spectrum
-    of the previous midpoint after N.  The boundary deviation, the largest
-    |u| at the two end nodes, is read off the spectrum after every step.
+    of ``dispersion`` per row of ``rows``.  The loop carries m, the
+    spectrum of a step's midpoint after N: the first step, and every step
+    after a sample, opens from the physical rows as m = fft(u) L(h/2); any
+    other step opens from the previous m as m L(h).  The boundary
+    deviation, the largest |u| at the two end nodes of u = ifft(m L(h/2)),
+    is read off m after every step.
+
+    substep(v, t) applies N(h) in place to the midpoint rows v = ifft(m)
+    of the step that starts at t, one step at a time.  Without a substep N
+    is the identity, and the loop advances in blocks of b steps between
+    two samples, with b W M <= _BLOCK_ELEMENTS for W the larger of the
+    row count and ``guard_rows``: it writes each step's m as the previous
+    one times L(h) and reads every step's boundary deviation with one
+    batched product.  guard(v, times), if given, checks a block's
+    midpoints, v a (b, rows, M) array from one batched ifft and times the
+    steps' start times, and returns (i, error) for the first step i that
+    fails, or None; ``guard_rows`` is the number of rows it checks per
+    step.  Without a guard no midpoint is transformed.
 
     Yields (t, rows, None) every ``sample_every`` steps and after the last
-    one, rows = ifft(spec L(h/2)) at time t.  The next step opens from the
+    one, rows = ifft(m L(h/2)) at time t.  The next step opens from the
     yielded array, so a caller may round it in place to the field it
     stores, and a run restarted from that field repeats the same steps.
     A guard ends the run with one last yield (t, rows, halt): a VfsimError
-    that substep raised, with the rows at the start of the failing step,
-    or BoundaryContaminated, with the rows at the end of the step.
+    of the substep or the guard, with the rows at the start of the failing
+    step, or BoundaryContaminated, with the rows at the end of the step.
+    Steps are checked in time order, the midpoint guard of a step before
+    its boundary guard, and the first failing check wins.
     """
     half = np.exp(dispersion * (0.5 * h))
     full = np.exp(dispersion * h)
-    # node 0 and node M-1 of ifft(spec * half), as products with spec
+    # node 0 and node M-1 of ifft(m * half), as products with m
     first = half / grid.num_points
     ends = np.stack([first, first * np.exp(-1j * grid.spacing * grid.wavenumbers)], axis=1)
-    nodes = np.empty(ends.shape[:2] + (1,), dtype=np.complex128)
-    spec, opened, v = (np.empty_like(rows) for _ in range(3))
-    start = rows  # the physical rows the next step opens from, or None
-    for n in range(n_steps):
-        t = t0 + n * h
+    if substep is None:
+        width = max(rows.shape[0], guard_rows) * grid.num_points
+        block = max(1, _BLOCK_ELEMENTS // width)
+    else:
+        block = 1
+    # two block buffers in turn: the m a block opens from stays intact
+    opened, spare = (np.empty((block,) + rows.shape, dtype=np.complex128) for _ in range(2))
+    mids = np.empty_like(opened) if substep is not None or guard is not None else None
+    nodes = np.empty((block,) + ends.shape[:2] + (1,), dtype=np.complex128)
+    start, spec = rows, None  # the rows or the m the next block opens from
+    n = 0
+    while n < n_steps:
+        b = min(block, sample_every - n % sample_every, n_steps - n)
+        opened, spare = spare, opened
         if start is None:
-            np.multiply(spec, full, out=opened)
+            np.multiply(spec, full, out=opened[0])
         else:
-            np.fft.fft(start, axis=1, out=opened)
-            np.multiply(opened, half, out=opened)
-        np.fft.ifft(opened, axis=1, out=v)
-        try:
-            changed = substep(v, t)
-        except VfsimError as exc:
-            yield t, np.fft.ifft(spec * half, axis=1) if start is None else start, exc
+            np.fft.fft(start, axis=1, out=opened[0])
+            np.multiply(opened[0], half, out=opened[0])
+        for i in range(1, b):
+            np.multiply(opened[i - 1], full, out=opened[i])
+        times = [t0 + step * h for step in range(n, n + b)]
+        failed = None
+        if mids is not None:
+            v = np.fft.ifft(opened[:b], axis=-1, out=mids[:b])
+            if substep is None:
+                failed = guard(v, times)
+            else:
+                try:
+                    substep(v[0], times[0])
+                except VfsimError as exc:
+                    failed = 0, exc
+                else:
+                    np.fft.fft(v[0], axis=1, out=opened[0])
+        dev = np.abs(np.matmul(ends, opened[:b, :, :, None], out=nodes[:b]))
+        over = np.flatnonzero(dev.max(axis=(1, 2, 3)) > boundary_tol)
+        if failed is not None and (not over.size or failed[0] <= over[0]):
+            i, exc = failed
+            if i:
+                back = np.fft.ifft(opened[i - 1] * half, axis=1)
+            else:
+                back = start if start is not None else np.fft.ifft(spec * half, axis=1)
+            yield times[i], back, exc
             return
-        if changed:
-            np.fft.fft(v, axis=1, out=spec)
-        else:
-            spec, opened = opened, spec
-        t = t0 + (n + 1) * h
-        dev = float(np.abs(np.matmul(ends, spec[:, :, None], out=nodes)).max())
-        halt = BoundaryContaminated(t, dev, boundary_tol) if dev > boundary_tol else None
-        start = None
-        if halt is not None or (n + 1) % sample_every == 0 or n + 1 == n_steps:
+        if over.size:
+            i = int(over[0])
+            halt = BoundaryContaminated(t0 + (n + i + 1) * h, float(dev[i].max()), boundary_tol)
+            yield halt.time, np.fft.ifft(opened[i] * half, axis=1), halt
+            return
+        n += b
+        spec, start = opened[b - 1], None
+        if n % sample_every == 0 or n == n_steps:
             start = np.fft.ifft(spec * half, axis=1)
-            yield t, start, halt
-            if halt is not None:
-                return
+            yield t0 + n * h, start, None
 
 
 def linear_propagate(f: ComplexField, gamma: float, t: float) -> ComplexField:

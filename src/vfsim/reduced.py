@@ -211,10 +211,8 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
     _require_floor(np.abs(phi.values) ** 2, floor, state.time)
     rotation = np.empty((1, grid.num_points), dtype=np.complex128)
 
-    def rotate(v: np.ndarray, time: float) -> bool:
+    def rotate(v: np.ndarray, time: float) -> None:
         # the exact flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1))
-        if omega == 0.0:
-            return False
         v += bg
         mod_sq = v.real**2 + v.imag**2
         _require_floor(mod_sq, floor, time)
@@ -224,13 +222,13 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
         np.sin(theta, out=rotation.imag)
         v *= rotation
         v -= bg
-        return True
 
     states = [state]
     for time, rows, halt in _split_steps(
         grid, (phi.values - bg)[None, :], -1j * grid.wavenumbers[None, :] ** 2,
-        state.time, n_steps, h, sample_every, rotate,
-        boundary_tol if bg != 0.0 else np.inf,
+        state.time, n_steps, h, sample_every, boundary_tol if bg != 0.0 else np.inf,
+        # omega = 0: N is the identity, and the midpoints need no check
+        substep=rotate if omega != 0.0 else None,
     ):
         v = rows[0] + bg
         _require_floor(v.real**2 + v.imag**2, floor, time)

@@ -427,6 +427,18 @@ def _record_collision(report: RunReport, time: float, sigma: float,
     report.hitting_times.update(collision_time=time, sigma_star=sigma, pair=list(pair))
 
 
+def _record_halt(report: RunReport, result) -> None:
+    """Write the hitting time of the guard that ended a filament run."""
+    if result.status == "CollisionDetected":
+        _record_collision(report, result.halt_time, result.collision_sigma,
+                          result.collision_pair)
+    elif result.status == "EnergyCapExceeded":
+        report.hitting_times["cap_time"] = result.halt_time
+        report.constants["energy_cap"] = result.energy_cap
+    elif result.status == "BoundaryContaminated":
+        report.hitting_times["boundary_time"] = result.halt_time
+
+
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
@@ -458,14 +470,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     report.constants["pair_norm_C"] = growth.pair_norm_C
     if growth.vw_C is not None:
         report.constants["vw_C"] = growth.vw_C
-    if result.status == "CollisionDetected":
-        _record_collision(report, result.halt_time, result.collision_sigma,
-                          result.collision_pair)
-    elif result.status == "EnergyCapExceeded":
-        report.hitting_times["cap_time"] = result.halt_time
-        report.constants["energy_cap"] = result.energy_cap
-    elif result.status == "BoundaryContaminated":
-        report.hitting_times["boundary_time"] = result.halt_time
+    _record_halt(report, result)
     report.files = files
     return report
 
@@ -484,9 +489,7 @@ def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     report = _base_report(cfg, result.status, state)
     report.constants.update(_conserved_drifts(result.reports))
     report.constants["min_sep"] = min(r.min_sep for r in result.reports)
-    if result.status == "CollisionDetected":
-        _record_collision(report, result.halt_time, result.collision_sigma,
-                          result.collision_pair)
+    _record_halt(report, result)
     report.files = files
     return report
 

@@ -39,6 +39,11 @@ Covered here:
     of the closed-form crossing, a dispersing dilation bump on a short
     box flags the boundary at the same step as the untagged RK4 run, and
     a rotating orbit keeps the kernel,
+  * the free flow in blocks of steps: evolve equals a per-step reference
+    flow with fresh temporaries bit for bit (states, status, halt time,
+    pair and sigma) on random stationary orbits, and on a collision halt
+    and a boundary halt inside a block; the first failing step of a block
+    wins, a NaN separation before a collision,
   * a property test: evolve commutes with a rotation of the backbone and
     the fields by exp(i theta), on generic and on free-flow data,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
@@ -71,7 +76,9 @@ from vfsim.errors import (
     WrongN,
 )
 from vfsim.filaments import (
+    DELTA_MIN,
     FilamentState,
+    _separation_halt,
     backbone,
     check_Lv_vanishes,
     coercivity_check,
@@ -93,11 +100,11 @@ from vfsim.filaments import (
     vw_decompose,
     zero_perturbations,
 )
-from vfsim.grid import derivative, make_field, make_grid, quad_trapezoid
+from vfsim.grid import _BLOCK_ELEMENTS, derivative, make_field, make_grid, quad_trapezoid
 from vfsim.point_vortex import VortexConfig, min_separation, polygon_config
 from vfsim.reduced import PhiState, analytic_collision_phi, energy_bm, evolve_bm
 from vfsim.runner import build_filament_state
-from vfsim.symmetry import point_reflection, rotation_symmetry
+from vfsim.symmetry import Orbits, pair_rows, point_reflection, rotation_symmetry
 
 GRID = make_grid(30.0, 1024)
 SQUARE = polygon_config(4, 1.0, 1.0)
@@ -1185,6 +1192,121 @@ class TestRotationEquivariance:
             scale = max(1.0, max(float(np.max(np.abs(f.values))) for f in a.u))
             for fa, fb in zip(a.u, b.u):
                 assert np.max(np.abs(fb.values - turn * fa.values)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# the free flow advances in blocks of steps, bit for bit the per-step flow
+# ---------------------------------------------------------------------------
+
+def reference_free_flow(state, T, dt, sample_every, delta_min, boundary_tol):
+    """The free flow one step at a time, with fresh temporaries.
+
+    A step opens as fft(u) L(h/2) after a sample and as m L(h) otherwise,
+    guards the separation of the midpoint ifft(m) at its start time, and
+    then the end nodes of u = ifft(m L(h/2)).  Returns the representatives'
+    rows at every recorded time, the status, the halt time, the pair and
+    sigma.
+    """
+    grid, cfg = state.grid, state.cfg
+    orbits = Orbits(state.symmetry, state.count)
+    (j, k), _, _, coeffs = pair_rows(cfg, orbits)
+    xd = (cfg.positions[j] - cfg.positions[k])[:, None]
+    threshold = delta_min * min_separation(cfg)
+    n_steps = round(T / dt)
+    h = T / n_steps
+    dispersion = -1j * np.outer(cfg.circulations[orbits.reps], grid.wavenumbers**2)
+    half, full = np.exp(dispersion * (0.5 * h)), np.exp(dispersion * h)
+    u = np.array([f.values for f in state.u])[orbits.reps]
+    kept, m = [u], None
+    for n in range(n_steps):
+        t = state.time + n * h
+        after_sample = m is None
+        m = np.fft.fft(u, axis=1) * half if after_sample else m * full
+        dist = np.abs(coeffs * np.fft.ifft(m, axis=1) + xd)
+        assert not np.isnan(dist.min())
+        if dist.min() < threshold:
+            if not after_sample:
+                kept.append(u)
+            p, i = np.unravel_index(np.argmin(dist), dist.shape)
+            return kept, "CollisionDetected", t, (int(j[p]), int(k[p])), float(grid.nodes[i])
+        u = np.fft.ifft(m * half, axis=1)
+        if np.abs(u[:, [0, -1]]).max() > boundary_tol:
+            return kept + [u], "BoundaryContaminated", state.time + (n + 1) * h, None, None
+        if (n + 1) % sample_every == 0 or n + 1 == n_steps:
+            kept.append(u)
+            m = None
+    return kept, "Completed", None, None, None
+
+
+def block_offset(state, step, sample_every):
+    """Where the step with index ``step`` falls in its block of the free flow."""
+    orbits = Orbits(state.symmetry, state.count)
+    (j, _), *_ = pair_rows(state.cfg, orbits)
+    width = max(orbits.reps.size, j.size) * state.grid.num_points
+    return step % sample_every % max(1, _BLOCK_ELEMENTS // width)
+
+
+def assert_matches_reference(state, T, dt, **guards):
+    result = evolve(state, T, dt, energy_cap=0.0, **guards)
+    rows, status, halt_time, pair, sigma = reference_free_flow(state, T, dt, **guards)
+    assert result.status == status
+    assert result.halt_time == halt_time
+    assert result.collision_pair == pair and result.collision_sigma == sigma
+    orbits = Orbits(state.symmetry, state.count)
+    got = state_arrays(result.states)
+    assert len(got) == len(rows)
+    for a, b in zip(got, rows):
+        assert np.array_equal(a, orbits.expand(b))
+    return result
+
+
+class TestFreeFlowBlocks:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        stationary_orbit_states(),
+        st.integers(1, 300),
+        st.integers(1, 150),
+        st.floats(0.7, 0.99),
+        st.sampled_from([1e-8, 1e-4, math.inf]),
+    )
+    def test_equals_the_per_step_flow(self, state, steps, every, delta_min, tol):
+        assert_matches_reference(
+            state, steps * 1e-2, 1e-2,
+            sample_every=every, delta_min=delta_min, boundary_tol=tol,
+        )
+
+    def test_collision_halt_inside_a_block(self):
+        state = collision_initial_state(4, make_grid(20.0, 512))
+        dt, every = 2.5e-4, 999
+        result = assert_matches_reference(
+            state, 1.05, dt, sample_every=every, delta_min=0.02, boundary_tol=1e-6
+        )
+        assert result.status == "CollisionDetected" and result.halt_time == 0.99
+        assert block_offset(state, round(0.99 / dt), every) == 3
+
+    def test_boundary_halt_inside_a_block(self):
+        state = dilation_state(stationary_polygon(4), gaussian_profile(make_grid(10.0, 128)))
+        dt, every = 1e-3, 100
+        result = assert_matches_reference(
+            state, 1.0, dt, sample_every=every, delta_min=DELTA_MIN, boundary_tol=1e-10
+        )
+        assert result.status == "BoundaryContaminated" and result.halt_time == 0.495
+        # the step that ends at the halt time
+        assert block_offset(state, round(0.495 / dt) - 1, every) == 30
+
+    def test_first_failing_step_wins(self):
+        pairs, nodes = (np.array([0]), np.array([1])), np.arange(4.0)
+        psi = np.ones((3, 1, 4), dtype=np.complex128)
+        psi[1, 0, 2] = 1e-3
+        psi[2, 0, 0] = np.nan
+        times = [0.0, 0.5, 1.0]
+        i, halt = _separation_halt(psi, np.empty(psi.shape), 0.01, times, nodes, pairs)
+        assert i == 1 and isinstance(halt, CollisionDetected)
+        assert (halt.time, halt.sigma, halt.pair) == (0.5, 2.0, (0, 1))
+        psi[0, 0, 3] = np.nan
+        i, halt = _separation_halt(psi, np.empty(psi.shape), 0.01, times, nodes, pairs)
+        assert i == 0 and isinstance(halt, NumericalGuard)
+        assert _separation_halt(psi[:0], np.empty((0, 1, 4)), 0.01, [], nodes, pairs) is None
 
 
 # ---------------------------------------------------------------------------

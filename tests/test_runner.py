@@ -9,6 +9,8 @@ Covered here:
     tag), exit codes, the scipy version read once per process, the drifts
     of H and A in every filament run's constants,
   * guard mapping: a collision maps to exit code 3 with hitting times,
+    a collision run that leaves its box to exit code 5 with its boundary
+    time,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
@@ -289,6 +291,17 @@ class TestScenarioRuns:
         assert len(pair) == 2
         assert pair[0] == 0 and 1 <= pair[1] <= 4
         assert load_status(tmp_path)["exit_code"] == 3
+
+    def test_collision_boundary_halt_records_its_time(self, tmp_path):
+        """The collision data on a box too short for them leave it first."""
+        cfg = parse_config_dict({"scenario": "collision", "grid": {"L": 6.0, "M": 128}})
+        report = run(cfg, tmp_path)
+        assert report.status == "BoundaryContaminated"
+        assert report.exit_code == EXIT_CODES["BoundaryContaminated"] == 5
+        status = load_status(tmp_path)
+        assert status["exit_code"] == 5
+        assert set(status["hitting_times"]) == {"boundary_time"}
+        assert 0.0 < status["hitting_times"]["boundary_time"] < cfg.T
 
     @pytest.mark.parametrize(
         "kind,name",

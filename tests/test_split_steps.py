@@ -10,7 +10,14 @@ Covered here:
     field;
   * the transform count: an untagged square run of n steps with s samples
     makes at most 2n + 2s + 2 FFTs outside the energy diagnostics, since
-    the half steps between samples are fused.
+    the half steps between samples are fused; the identity sub-flow
+    advances in blocks, so the omega = 0 profile, which checks no
+    midpoint, makes at most 2s + 2, and the collision preset, which
+    checks each midpoint in one batched inverse transform per block, at
+    most 600 (3,960 steps);
+  * the halt order of a block of identity steps: steps in time order, a
+    step's midpoint guard before its boundary guard, the first failing
+    check wins, and a guard halt keeps the rows at the start of its step.
 """
 
 import sys
@@ -18,10 +25,13 @@ import sys
 import numpy as np
 import pytest
 
+from vfsim.config import scenario_defaults
+from vfsim.errors import BoundaryContaminated, NumericalGuard
 from vfsim.filaments import collision_initial_state, evolve, filament_state
-from vfsim.grid import make_field, make_grid
+from vfsim.grid import _split_steps, make_field, make_grid
 from vfsim.point_vortex import polygon_config
-from vfsim.reduced import PhiState, evolve_bm
+from vfsim.reduced import PhiState, collision_state, evolve_bm
+from vfsim.runner import run
 
 DT = 2.0**-8  # every step time is exact
 K = 8
@@ -87,3 +97,65 @@ def test_fused_steps_bound_the_transform_count(monkeypatch):
     samples = len(result.states) - 1
     assert samples == n // every
     assert len(calls) <= 2 * n + 2 * samples + 2
+
+
+def test_free_profile_transforms_only_at_samples(fft_calls):
+    """omega = 0: the profile's sub-flow is the identity and checks nothing,
+    so the run transforms only to sample and to reopen after a sample."""
+    states, _ = evolve_bm(collision_state(make_grid(20.0, 4096)), 0.5, 1e-3, sample_every=100)
+    samples = len(states) - 1
+    assert samples == 5 and states[-1].time == 0.5
+    assert len(fft_calls) <= 2 * samples + 2
+
+
+def test_collision_preset_transform_count(fft_calls, tmp_path):
+    report = run(scenario_defaults("collision"), tmp_path)
+    assert report.status == "CollisionDetected"
+    assert report.hitting_times["collision_time"] == 0.99
+    assert len(fft_calls) <= 600
+
+
+class TestBlockHaltOrder:
+    """A spreading bump under the free flow on a short box, one block of
+    256 steps between samples; a guard that fails at one chosen step."""
+
+    grid = make_grid(10.0, 64)
+
+    def run(self, n_steps, failing_step=None):
+        rows = 0.2 * np.exp(-self.grid.nodes**2)[None, :] + 0j
+        dispersion = -1j * self.grid.wavenumbers[None, :] ** 2
+
+        def guard(v, times):
+            assert v.shape == (len(times), 1, 64)
+            steps = [round(t / DT) for t in times]
+            if failing_step in steps:
+                return steps.index(failing_step), NumericalGuard("failing step")
+            return None
+
+        return list(_split_steps(
+            self.grid, rows, dispersion, 0.0, n_steps, DT, 1000, 1e-6,
+            guard=guard, guard_rows=1,
+        ))
+
+    def boundary_step(self):
+        *_, (t, _, halt) = self.run(400)
+        assert isinstance(halt, BoundaryContaminated)
+        step = round(t / DT) - 1
+        assert 0 < step < 255  # inside the first block
+        return step
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_guard_at_or_before_the_boundary_step_wins(self, offset):
+        step = self.boundary_step() + offset
+        *_, (t, rows, halt) = self.run(400, step)
+        assert isinstance(halt, NumericalGuard) and t == step * DT
+        # the rows at the start of the failing step
+        *_, (t_end, end, done) = self.run(step)
+        assert done is None and t_end == t and np.array_equal(rows, end)
+
+    def test_boundary_before_the_guard_wins(self):
+        step = self.boundary_step()
+        *_, (t, rows, halt) = self.run(400, step + 1)
+        assert isinstance(halt, BoundaryContaminated) and t == (step + 1) * DT
+        *_, (_, unguarded_rows, _) = self.run(400)
+        assert np.array_equal(rows, unguarded_rows)
