@@ -50,6 +50,19 @@ class BoundaryContaminated(VfsimError):
         )
 
 
+class EnergyCapExceeded(VfsimError):
+    """A sampled energy went over the cap; a filament run halts on it.
+
+    ``filaments.evolve_samples`` yields it as its halt, never raises it.
+    """
+
+    def __init__(self, time: float, energy: float, cap: float):
+        self.time = time
+        self.energy = energy
+        self.cap = cap
+        super().__init__(f"energy {energy:.6e} exceeded the cap {cap:.6e} at t={time:.6g}")
+
+
 class NumericalGuard(VfsimError):
     """A numerical safety check tripped (step size, modulus floor, ...)."""
 

@@ -45,6 +45,7 @@ from .errors import (
     BoundaryContaminated,
     CollisionDetected,
     ConfigError,
+    EnergyCapExceeded,
     NumericalGuard,
     PreconditionViolated,
     WrongConfig,
@@ -55,6 +56,7 @@ from .grid import (
     ComplexField,
     Grid1D,
     _split_steps,
+    _step_plan,
     derivative,
     make_field,
     quad_trapezoid,
@@ -79,11 +81,6 @@ from .symmetry import (
 DELTA_MIN = 1e-3  # collision threshold as a fraction of the backbone spacing
 COERCIVITY_C = 0.21  # verified lower convexity constant on the ratio band
 ENERGY_CAP_FACTOR = 10.0  # run is trusted while E(t) <= factor * initial scale
-
-STATUS_COMPLETED = "Completed"
-STATUS_COLLISION = "CollisionDetected"
-STATUS_ENERGY_CAP = "EnergyCapExceeded"
-STATUS_BOUNDARY = "BoundaryContaminated"
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +572,17 @@ def _interaction_vanishes(cfg: VortexConfig, orbits: Orbits) -> bool:
     return abs(terms.sum()) <= SYMMETRY_TOL * float(np.sum(np.abs(terms)))
 
 
-def evolve(
+def _armed_cap(state: FilamentState, report: EnergyReport, energy_cap: float | None,
+               factor: float) -> float | None:
+    """``energy_cap``, else the default cap; None unless positive and finite."""
+    if energy_cap is None:
+        energy_cap = default_energy_cap(state, factor, report)
+    if energy_cap is not None and not 0.0 < energy_cap < math.inf:
+        return None
+    return energy_cap
+
+
+def evolve_samples(
     state: FilamentState,
     T: float,
     dt: float = 1e-3,
@@ -584,63 +591,46 @@ def evolve(
     energy_cap: float | None = None,
     boundary_tol: float = DEFAULT_BOUNDARY_TOL,
     energy_cap_factor: float = ENERGY_CAP_FACTOR,
-) -> EvolutionResult:
-    """Evolve the perturbation system for time T by Strang splitting.
+):
+    """Evolve the perturbation system for time T by Strang splitting,
+    yielding each sample as (snapshot, report, halt) when the loop reaches it.
 
-    Each step is L(dt/2) N(dt) L(dt/2), run by the split-step loop
-    ``grid._split_steps``: L is the per-filament exact Fourier propagator
-    with gamma = Gamma_j, N a full RK4 step on the pointwise interaction
-    (non-autonomous: the backbone is evaluated at the stage times t,
-    t+dt/2, t+dt).  dt is limited only by splitting accuracy; the linear
-    part is exact at any step size.  Between samples the loop fuses the
-    half step closing one step with the one opening the next.
+    Each step is L(dt/2) N(dt) L(dt/2), run by ``grid._split_steps``: L the
+    per-filament exact Fourier propagator with gamma = Gamma_j, N a full
+    RK4 step on the pointwise interaction, with the backbone at the stage
+    times t, t+dt/2, t+dt.  A tagged state evolves only its orbit
+    representatives, on the distinct pair rows their sums need, and every
+    snapshot expands them to u_j = a_j u_r and keeps the tag.  On a single
+    orbit over a stationary backbone (``_interaction_vanishes``) N is the
+    identity: the loop advances the free flow in blocks of steps and
+    guards the separation of a block's midpoints at once, halting at the
+    step a step-by-step check would.  The kernel's buffers, the stage input
+    and k1..k4 are allocated once per run and written through ``out=`` in
+    the order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so a
+    run sampled at every step is bit for bit that of fresh temporaries.
 
-    A state with a symmetry tag evolves only its orbit representatives: the
-    FFTs and the RK4 stages run on their rows, and the pair kernel on the
-    distinct pair rows their sums need.  Every snapshot expands the
-    representatives to u_j = a_j u_r and keeps the tag.  Without a tag
-    every filament is its own orbit.
-
-    On a single orbit over a stationary backbone (the collision data) the
-    interaction vanishes identically (``_interaction_vanishes``), so N is
-    the identity and the run is the free flow, which the loop advances in
-    blocks of steps: a block's midpoint fields L(dt/2) u come from one
-    batched inverse transform, and one vectorised guard checks the
-    separation of each at its step's start time.  The first failing step
-    halts the run, with the same state, time, pair and sigma as a
-    step-by-step check.
-
-    The pair kernel's buffers, the stage input and k1..k4 are allocated
-    once per run and written through ``out=`` calls in the order of
-    v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so a run sampled
-    at every step is bit for bit that of fresh temporaries.
-
-    The run halts early with status CollisionDetected when filaments approach
-    within delta_min times the backbone spacing, EnergyCapExceeded when a
-    sampled E(t) exceeds the cap (default_energy_cap with energy_cap_factor,
-    from the t = 0 report; pass energy_cap to override, 0 or inf to disarm),
-    and BoundaryContaminated when a perturbation stops being flat at the
-    domain ends.  A NaN state raises NumericalGuard.  States and reports
-    are recorded at t = 0, every ``sample_every`` steps, at the final time,
-    and at the halt: a collision keeps the state at the start of the
-    failing step, the boundary guard the state at the end of the step.
+    Samples fall at t = 0, every ``sample_every`` steps, at the final time
+    and at the halt; a caller that keeps only what it needs of each holds
+    one snapshot at a time.  halt is None but in the last yield of a run
+    that halts: CollisionDetected below delta_min times the backbone
+    spacing, with the state at the start of the failing step;
+    BoundaryContaminated when a perturbation leaves the background at the
+    domain ends, with the state at the end of the step; EnergyCapExceeded
+    when a sampled E(t) exceeds the cap (default_energy_cap with
+    energy_cap_factor; energy_cap overrides it, 0 or inf disarm).  A halt
+    right after a sample keeps that sample and yields (None, None, halt).
+    A NaN state raises NumericalGuard; dt <= 0 or sample_every < 1 raise
+    ValueError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    states = [state]
-    reports = [energies(state)]
-    if energy_cap is None:
-        energy_cap = default_energy_cap(state, energy_cap_factor, reports[0])
-    if energy_cap is not None and not 0.0 < energy_cap < math.inf:
-        energy_cap = None
+    n_steps, h = _step_plan(T, dt, sample_every)
+    report = energies(state)
+    energy_cap = _armed_cap(state, report, energy_cap, energy_cap_factor)
 
     cfg = state.cfg
     omega = cfg.omega if cfg.omega is not None else 0.0
     grid = state.grid
     x0 = cfg.positions
     orbits = Orbits(state.symmetry, state.count)
-    n_steps = max(int(round(T / dt)), 0)
-    h = T / n_steps if n_steps else 0.0
     u_vals = _values_matrix(state)[orbits.reps]
     threshold = delta_min * min_separation(cfg)
 
@@ -686,37 +676,55 @@ def evolve(
         flow = dict(substep=substep)
 
     dispersion = -1j * np.outer(cfg.circulations[orbits.reps], grid.wavenumbers**2)
-    status, halt_time, collision_sigma, collision_pair = STATUS_COMPLETED, None, None, None
+    last = state.time
+    yield state, report, None
     for t, rows, halt in _split_steps(
         grid, u_vals, dispersion, state.time, n_steps, h, sample_every, boundary_tol,
         **flow,
     ):
         if isinstance(halt, NumericalGuard):
             raise halt
-        if t != states[-1].time:  # a halt right after a sample keeps that sample
+        snap = report = None
+        if t != last:  # a halt right after a sample keeps that sample
             snap = FilamentState(
                 u=tuple(make_field(grid, row) for row in orbits.expand(rows)),
                 cfg=cfg, time=t, symmetry=state.symmetry,
             )
-            states.append(snap)
-            reports.append(energies(snap))
-        if isinstance(halt, CollisionDetected):
-            status, halt_time = STATUS_COLLISION, halt.time
-            collision_sigma, collision_pair = halt.sigma, halt.pair
-        elif isinstance(halt, BoundaryContaminated):
-            status, halt_time = STATUS_BOUNDARY, halt.time
-        elif energy_cap is not None and reports[-1].E > energy_cap:
-            status, halt_time = STATUS_ENERGY_CAP, t
-            break
+            report, last = energies(snap), t
+            if halt is None and energy_cap is not None and report.E > energy_cap:
+                halt = EnergyCapExceeded(t, report.E, energy_cap)
+        yield snap, report, halt
+        if halt is not None:
+            return
 
+
+def evolve(
+    state: FilamentState,
+    T: float,
+    dt: float = 1e-3,
+    sample_every: int = 10,
+    delta_min: float = DELTA_MIN,
+    energy_cap: float | None = None,
+    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
+    energy_cap_factor: float = ENERGY_CAP_FACTOR,
+) -> EvolutionResult:
+    """``evolve_samples`` collected: every state and report, and the halt as
+    the status (its class name, or Completed) and hitting time."""
+    states, reports, halt = [], [], None
+    for snap, report, halt in evolve_samples(
+        state, T, dt, sample_every, delta_min, energy_cap, boundary_tol, energy_cap_factor,
+    ):
+        if snap is not None:
+            states.append(snap)
+            reports.append(report)
     return EvolutionResult(
-        status=status,
+        status="Completed" if halt is None else type(halt).__name__,
         states=states,
         reports=reports,
-        halt_time=halt_time,
-        collision_sigma=collision_sigma,
-        collision_pair=collision_pair,
-        energy_cap=energy_cap,
+        halt_time=None if halt is None else halt.time,
+        collision_sigma=getattr(halt, "sigma", None),
+        collision_pair=getattr(halt, "pair", None),
+        energy_cap=_armed_cap(state, reports[0], energy_cap, energy_cap_factor),
     )
 
 
@@ -867,15 +875,17 @@ def tilde_E0(state: FilamentState, report: EnergyReport | None = None) -> float:
     return max(rep.E, 0.5 * (v**2 + w**2))
 
 
-def _pair_norms(state: FilamentState) -> np.ndarray:
-    """L2 norms of the pair differences u_j - u_k, one per unordered pair."""
+def pair_norm_scalars(state: FilamentState) -> tuple[float, float]:
+    """(sum over ordered pairs j != k, max over pairs) of ||u_j - u_k||,
+    from one pass over the unordered pairs."""
     _, _, ud = _pair_differences(state)
-    return np.sqrt(_sq_norms(state.grid, ud))
+    norms = np.sqrt(_sq_norms(state.grid, ud))
+    return 2.0 * float(np.sum(norms)), float(np.max(norms, initial=0.0))
 
 
 def max_pair_norm(state: FilamentState) -> float:
     """Largest L2 norm of a pair difference u_j - u_k."""
-    return float(np.max(_pair_norms(state), initial=0.0))
+    return pair_norm_scalars(state)[1]
 
 
 def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
@@ -913,32 +923,38 @@ def growth_monitors(
     """Fit the growth-bound constants over a sampled trajectory."""
     if reports is None:
         reports = [energies(s) for s in states]
-    t0 = states[0].time
+    sums, maxima = zip(*map(pair_norm_scalars, states))
+    return growth_constants(reports, sums, maxima)
+
+
+def growth_constants(reports, sums, maxima) -> GrowthConstants:
+    """Fit the growth-bound constants from per-sample scalars: each
+    sample's EnergyReport and its two ``pair_norm_scalars``.  The
+    diagonal-sum constant is fitted when the reports carry vw_norms."""
+    times = [r.time for r in reports]
+    t0 = times[0]
     energies_pos = [max(r.E, 0.0) for r in reports]
 
-    # the bound sums over ordered pairs, each unordered pair twice
-    sums = [2.0 * float(np.sum(_pair_norms(s))) for s in states]
     pair_c = 0.0
     sup_e = 0.0
-    for i, s in enumerate(states):
+    for i, t in enumerate(times):
         sup_e = max(sup_e, energies_pos[i])
-        denom = sums[0] + (s.time - t0) * math.sqrt(sup_e)
+        denom = sums[0] + (t - t0) * math.sqrt(sup_e)
         if denom > 0.0:
             pair_c = max(pair_c, sums[i] / denom)
 
     vw_c = None
-    if states[0].count == 4 and not states[0].cfg.has_center:
+    if reports[0].vw_norms is not None:
         vw = [r.vw_norms[0] + r.vw_norms[1] for r in reports]
-        maxima = [max_pair_norm(s) for s in states]
         vw_c = 0.0
         sup_g = 0.0
-        for i, s in enumerate(states):
+        for i, t in enumerate(times):
             e = energies_pos[i]
             sup_g = max(
                 sup_g,
                 math.sqrt(maxima[i]) * e**0.25 * (vw[i] + math.sqrt(e)),
             )
-            denom = (s.time - t0) * sup_g
+            denom = (t - t0) * sup_g
             if denom > 0.0:
                 vw_c = max(vw_c, (vw[i] - vw[0]) / denom)
     return GrowthConstants(pair_norm_C=pair_c, vw_C=vw_c)

@@ -101,6 +101,19 @@ def boundary_deviation(f: ComplexField) -> float:
     return float(max(dev0, dev1))
 
 
+def _step_plan(T: float, dt: float, sample_every: int) -> tuple[int, float]:
+    """(n_steps, h): round(T / dt) steps of equal length h ending at T.
+
+    Raises ValueError for dt <= 0 or sample_every < 1.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
+    n_steps = max(int(round(T / dt)), 0)
+    return n_steps, T / n_steps if n_steps else 0.0
+
+
 def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
                  t0: float, n_steps: int, h: float, sample_every: int,
                  boundary_tol: float, substep=None, guard=None, guard_rows: int = 0):

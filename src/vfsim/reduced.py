@@ -27,6 +27,7 @@ from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
     _split_steps,
+    _step_plan,
     derivative,
     make_field,
     quad_trapezoid,
@@ -203,8 +204,9 @@ def _require_floor(mod_sq: np.ndarray, floor: float, time: float) -> None:
 
 
 def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
-            delta_mod: float, boundary_tol: float) -> list[PhiState]:
-    """The states at the start, every ``sample_every`` steps and the end."""
+            delta_mod: float, boundary_tol: float):
+    """Yield the states at the start, every ``sample_every`` steps and the
+    end, each as the split-step loop produces it."""
     phi, omega = state.phi, state.omega
     grid, bg = phi.grid, phi.background
     floor = delta_mod if omega != 0.0 else 0.0
@@ -223,7 +225,7 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
         v *= rotation
         v -= bg
 
-    states = [state]
+    yield state
     for time, rows, halt in _split_steps(
         grid, (phi.values - bg)[None, :], -1j * grid.wavenumbers[None, :] ** 2,
         state.time, n_steps, h, sample_every, boundary_tol if bg != 0.0 else np.inf,
@@ -235,13 +237,34 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
         if halt is not None:
             raise halt
         rows[0] = v - bg  # the next step opens from the stored field
-        states.append(PhiState(ComplexField(grid, v, bg), omega, time))
-    return states
+        yield PhiState(ComplexField(grid, v, bg), omega, time)
 
 
 def step_bm(state: PhiState, dt: float, delta_mod: float = DELTA_MOD) -> PhiState:
     """One Strang step of the evolve_bm loop, without the boundary guard."""
-    return _strang(state, 1, dt, 1, delta_mod, np.inf)[-1]
+    *_, last = _strang(state, 1, dt, 1, delta_mod, np.inf)
+    return last
+
+
+def evolve_bm_samples(
+    state: PhiState,
+    T: float,
+    dt: float,
+    sample_every: int = 10,
+    delta_mod: float = DELTA_MOD,
+    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
+):
+    """Yield (state, energy_sample(state)) at each sample of ``evolve_bm``.
+
+    The samples arrive one at a time as the loop reaches them, so a caller
+    that keeps only what it needs of each holds one state at a time,
+    whatever the number of samples.  A guard raises as in ``evolve_bm``,
+    after the samples before it have been yielded.  Raises ValueError for
+    dt <= 0 or sample_every < 1.
+    """
+    n_steps, h = _step_plan(T, dt, sample_every)
+    for s in _strang(state, n_steps, h, sample_every, delta_mod, boundary_tol):
+        yield s, energy_sample(s)
 
 
 def evolve_bm(
@@ -264,14 +287,11 @@ def evolve_bm(
     when a midpoint or a sample falls below the modulus floor or holds a NaN
     (omega = 0 has no floor), and BoundaryContaminated when the end nodes,
     read off the spectrum after every step, leave the background (skipped
-    for background-0 fields such as boosted profiles).
+    for background-0 fields such as boosted profiles).  This collects
+    ``evolve_bm_samples``, which yields the samples one at a time.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(int(round(T / dt)), 0)
-    h = T / n_steps if n_steps else 0.0
-    states = _strang(state, n_steps, h, sample_every, delta_mod, boundary_tol)
-    return states, [energy_sample(s) for s in states]
+    samples = list(evolve_bm_samples(state, T, dt, sample_every, delta_mod, boundary_tol))
+    return [s for s, _ in samples], [e for _, e in samples]
 
 
 # ---------------------------------------------------------------------------

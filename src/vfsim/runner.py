@@ -31,15 +31,21 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .errors import BoundaryContaminated, CollisionDetected, ConfigError, VfsimError
+from .errors import (
+    BoundaryContaminated,
+    CollisionDetected,
+    ConfigError,
+    EnergyCapExceeded,
+    VfsimError,
+)
 from .filaments import (
     FilamentState,
     collision_initial_state,
     dilation_state,
-    evolve,
+    evolve_samples,
     filament_state,
-    growth_monitors,
-    max_pair_norm,
+    growth_constants,
+    pair_norm_scalars,
     predicted_T,
     tilde_E0,
     write_reports_csv,
@@ -52,7 +58,7 @@ from .point_vortex import (
     polygon_config,
     write_trajectory_csv,
 )
-from .reduced import PhiState, evolve_bm, lattice_wavenumber, write_energy_csv
+from .reduced import PhiState, evolve_bm_samples, lattice_wavenumber, write_energy_csv
 from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
@@ -74,7 +80,7 @@ __all__ = [
 # Exit code for each terminal status.  A guard exception is looked up by
 # its class name; those not listed here (modulus floor, escaped amplitude,
 # step-size refusals) are grouped under NumericalGuard.  EnergyCapExceeded
-# is a status that evolve reports, never an exception.
+# is a halt that evolve_samples yields, never raises.
 EXIT_CODES = {
     "Completed": 0,
     "ConfigError": 2,
@@ -376,18 +382,16 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
             f"{cfg.pert_kind!r} data needs the square scenario",
         )
     state = PhiState(phi=phi, omega=cfg.omega, time=0.0)
-    states, samples = evolve_bm(
+    samples, files = [], ["energies.csv"]
+    for st, sample in evolve_bm_samples(
         state, cfg.T, cfg.dt,
         sample_every=cfg.sample_every,
         boundary_tol=cfg.boundary_tol,
-    )
+    ):
+        if dump_fields:
+            files.append(_dump_fields(out_dir, len(samples), grid, [st.phi]))
+        samples.append(sample)
     write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
-    files = ["energies.csv"]
-    if dump_fields:
-        for i, st in enumerate(states):
-            name = f"fields_t{i:04d}.csv"
-            write_fields_csv(os.path.join(out_dir, name), grid, [st.phi])
-            files.append(name)
 
     report = _base_report(cfg, "Completed")
     e0 = samples[0].E
@@ -400,15 +404,36 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     return report
 
 
-def _write_filament_outputs(out_dir, result, dump_fields: bool) -> list:
-    write_reports_csv(os.path.join(out_dir, "energies.csv"), result.reports)
-    files = ["energies.csv"]
-    if dump_fields:
-        for i, st in enumerate(result.states):
-            name = f"fields_t{i:04d}.csv"
-            write_fields_csv(os.path.join(out_dir, name), st.grid, list(st.u))
-            files.append(name)
-    return files
+def _dump_fields(out_dir, index: int, grid: Grid1D, fields) -> str:
+    """Write sample ``index``'s fields to fields_tNNNN.csv; return the name."""
+    name = f"fields_t{index:04d}.csv"
+    write_fields_csv(os.path.join(out_dir, name), grid, fields)
+    return name
+
+
+def _stream_filaments(cfg: ScenarioConfig, state: FilamentState, out_dir,
+                      dump_fields: bool, per_sample=None, **guards):
+    """Run ``evolve_samples`` on the config's time and guard settings,
+    writing each snapshot's field dump as it arrives and passing the
+    snapshot to ``per_sample``, then dropping it; then write energies.csv.
+    Returns (reports, halt, files)."""
+    reports, files, halt = [], ["energies.csv"], None
+    for snap, rep, halt in evolve_samples(
+        state, cfg.T, cfg.dt,
+        sample_every=cfg.sample_every,
+        delta_min=cfg.delta_min,
+        boundary_tol=cfg.boundary_tol,
+        **guards,
+    ):
+        if snap is None:
+            continue
+        if dump_fields:
+            files.append(_dump_fields(out_dir, len(reports), snap.grid, list(snap.u)))
+        if per_sample is not None:
+            per_sample(snap)
+        reports.append(rep)
+    write_reports_csv(os.path.join(out_dir, "energies.csv"), reports)
+    return reports, halt, files
 
 
 def _conserved_drifts(reports) -> dict:
@@ -427,50 +452,54 @@ def _record_collision(report: RunReport, time: float, sigma: float,
     report.hitting_times.update(collision_time=time, sigma_star=sigma, pair=list(pair))
 
 
-def _record_halt(report: RunReport, result) -> None:
+def _record_halt(report: RunReport, halt: VfsimError | None) -> None:
     """Write the hitting time of the guard that ended a filament run."""
-    if result.status == "CollisionDetected":
-        _record_collision(report, result.halt_time, result.collision_sigma,
-                          result.collision_pair)
-    elif result.status == "EnergyCapExceeded":
-        report.hitting_times["cap_time"] = result.halt_time
-        report.constants["energy_cap"] = result.energy_cap
-    elif result.status == "BoundaryContaminated":
-        report.hitting_times["boundary_time"] = result.halt_time
+    if isinstance(halt, CollisionDetected):
+        _record_collision(report, halt.time, halt.sigma, halt.pair)
+    elif isinstance(halt, EnergyCapExceeded):
+        report.hitting_times["cap_time"] = halt.time
+        report.constants["energy_cap"] = halt.cap
+    elif isinstance(halt, BoundaryContaminated):
+        report.hitting_times["boundary_time"] = halt.time
+
+
+def _halt_status(halt: VfsimError | None) -> str:
+    return "Completed" if halt is None else type(halt).__name__
 
 
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
-    result = evolve(
-        state, cfg.T, cfg.dt,
-        sample_every=cfg.sample_every,
-        delta_min=cfg.delta_min,
-        boundary_tol=cfg.boundary_tol,
+    sums, maxima = [], []
+
+    def pair_norms(snap: FilamentState) -> None:
+        total, largest = pair_norm_scalars(snap)
+        sums.append(total)
+        maxima.append(largest)
+
+    reports, halt, files = _stream_filaments(
+        cfg, state, out_dir, dump_fields, pair_norms,
         energy_cap_factor=cfg.energy_cap_factor,
     )
-    files = _write_filament_outputs(out_dir, result, dump_fields)
 
-    report = _base_report(cfg, result.status, state)
+    report = _base_report(cfg, _halt_status(halt), state)
     if state.count == 4 and not state.cfg.has_center:
-        te0 = tilde_E0(state, result.reports[0])
+        te0 = tilde_E0(state, reports[0])
         report.constants["tilde_E0"] = te0
-        report.constants["predicted_T"] = predicted_T(te0, max_pair_norm(state))
-    report.constants.update(_conserved_drifts(result.reports))
-    e0 = result.reports[0].E
-    drift = max(abs(r.E - e0) for r in result.reports)
+        report.constants["predicted_T"] = predicted_T(te0, maxima[0])
+    report.constants.update(_conserved_drifts(reports))
+    e0 = reports[0].E
+    drift = max(abs(r.E - e0) for r in reports)
     report.constants["drift_E"] = drift
     if e0 != 0.0:
         report.constants["rel_drift_E"] = drift / abs(e0)
-    if all(r.vw_norms is not None for r in result.reports):
-        report.constants["max_vw"] = max(
-            max(r.vw_norms) for r in result.reports
-        )
-    growth = growth_monitors(result.states, result.reports)
+    if all(r.vw_norms is not None for r in reports):
+        report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
+    growth = growth_constants(reports, sums, maxima)
     report.constants["pair_norm_C"] = growth.pair_norm_C
     if growth.vw_C is not None:
         report.constants["vw_C"] = growth.vw_C
-    _record_halt(report, result)
+    _record_halt(report, halt)
     report.files = files
     return report
 
@@ -478,18 +507,12 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
 def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = collision_initial_state(cfg.N, grid)
-    result = evolve(
-        state, cfg.T, cfg.dt,
-        sample_every=cfg.sample_every,
-        delta_min=cfg.delta_min,
-        boundary_tol=cfg.boundary_tol,
-    )
-    files = _write_filament_outputs(out_dir, result, dump_fields)
+    reports, halt, files = _stream_filaments(cfg, state, out_dir, dump_fields)
 
-    report = _base_report(cfg, result.status, state)
-    report.constants.update(_conserved_drifts(result.reports))
-    report.constants["min_sep"] = min(r.min_sep for r in result.reports)
-    _record_halt(report, result)
+    report = _base_report(cfg, _halt_status(halt), state)
+    report.constants.update(_conserved_drifts(reports))
+    report.constants["min_sep"] = min(r.min_sep for r in reports)
+    _record_halt(report, halt)
     report.files = files
     return report
 
