@@ -604,10 +604,13 @@ def evolve_samples(
     orbit over a stationary backbone (``_interaction_vanishes``) N is the
     identity: the loop advances the free flow in blocks of steps and
     guards the separation of a block's midpoints at once, halting at the
-    step a step-by-step check would.  The kernel's buffers, the stage input
-    and k1..k4 are allocated once per run and written through ``out=`` in
-    the order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so a
-    run sampled at every step is bit for bit that of fresh temporaries.
+    step a step-by-step check would.  Every separation there is
+    |X_jk| |Phi|, so the guard checks only the pair rows nearest on the
+    backbone, which hold the first minimum.  The kernel's buffers, the
+    stage input and k1..k4 are allocated once per run and written through
+    ``out=`` in the order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3)
+    + k4), so a run sampled at every step is bit for bit that of fresh
+    temporaries.
 
     Samples fall at t = 0, every ``sample_every`` steps, at the final time
     and at the halt; a caller that keeps only what it needs of each holds
@@ -636,6 +639,14 @@ def evolve_samples(
 
     if _interaction_vanishes(cfg, orbits):
         pairs, _, _, coeffs = pair_rows(cfg, orbits)
+        guard_rows = pairs[0].size  # the blocks stay sized for every row
+        # every row is X_jk Phi, so only the rows nearest on the backbone
+        # can hold the first minimum: a row 1e-6 further out exceeds them by
+        # 1e-6 |X_jk| |Phi|, near the threshold far above the roundoff
+        # eps |X_jk| of |X_jk + c_jk v| unless delta_min is below ~1e-9
+        gaps = np.abs(x0[pairs[0]] - x0[pairs[1]])
+        near = gaps <= (1.0 + 1e-6) * gaps.min()
+        pairs, coeffs = (pairs[0][near], pairs[1][near]), coeffs[near]
         j, k = pairs
         psi = dist = None
 
@@ -651,7 +662,7 @@ def evolve_samples(
             np.add((xs[:, j] - xs[:, k])[:, :, None], psi[:b], out=psi[:b])
             return _separation_halt(psi[:b], dist[:b], threshold, times, grid.nodes, pairs)
 
-        flow = dict(guard=guard, guard_rows=j.size)
+        flow = dict(guard=guard, guard_rows=guard_rows)
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
         stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(5))

@@ -136,8 +136,8 @@ def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
     batched product.  guard(v, times), if given, checks a block's
     midpoints, v a (b, rows, M) array from one batched ifft and times the
     steps' start times, and returns (i, error) for the first step i that
-    fails, or None; ``guard_rows`` is the number of rows it checks per
-    step.  Without a guard no midpoint is transformed.
+    fails, or None; ``guard_rows`` is the number of rows the block is
+    sized for.  Without a guard no midpoint is transformed.
 
     Yields (t, rows, None) every ``sample_every`` steps and after the last
     one, rows = ifft(m L(h/2)) at time t.  The next step opens from the

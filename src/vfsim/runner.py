@@ -383,14 +383,23 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         )
     state = PhiState(phi=phi, omega=cfg.omega, time=0.0)
     samples, files = [], ["energies.csv"]
-    for st, sample in evolve_bm_samples(
-        state, cfg.T, cfg.dt,
-        sample_every=cfg.sample_every,
-        boundary_tol=cfg.boundary_tol,
-    ):
-        if dump_fields:
-            files.append(_dump_fields(out_dir, len(samples), grid, [st.phi]))
-        samples.append(sample)
+    try:
+        for st, sample in evolve_bm_samples(
+            state, cfg.T, cfg.dt,
+            sample_every=cfg.sample_every,
+            boundary_tol=cfg.boundary_tol,
+        ):
+            if dump_fields:
+                files.append(_dump_fields(out_dir, len(samples), grid, [st.phi]))
+            samples.append(sample)
+    except VfsimError as exc:
+        if not samples:
+            raise
+        # a raised guard keeps the samples before it
+        write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
+        report = _error_report(cfg, exc)
+        report.files = files
+        return report
     write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
 
     report = _base_report(cfg, "Completed")
@@ -610,9 +619,16 @@ _DISPATCH = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def _status_for_exception(exc: VfsimError) -> str:
+def _error_report(cfg: ScenarioConfig, exc: VfsimError) -> RunReport:
+    """The report of a run that a raised guard or error ended."""
     name = type(exc).__name__
-    return name if name in EXIT_CODES else "NumericalGuard"
+    report = _base_report(cfg, name if name in EXIT_CODES else "NumericalGuard")
+    report.constants["error"] = str(exc)
+    if isinstance(exc, CollisionDetected):
+        _record_collision(report, exc.time, exc.sigma, exc.pair)
+    elif isinstance(exc, BoundaryContaminated):
+        report.hitting_times["halt_time"] = exc.time
+    return report
 
 
 def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
@@ -633,12 +649,6 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
             report = _DISPATCH[cfg.scenario](cfg, out_dir, dump_fields)
         _check_files(out_dir, report.files)
     except VfsimError as exc:
-        status = _status_for_exception(exc)
-        report = _base_report(cfg, status)
-        report.constants["error"] = str(exc)
-        if isinstance(exc, CollisionDetected):
-            _record_collision(report, exc.time, exc.sigma, exc.pair)
-        elif isinstance(exc, BoundaryContaminated):
-            report.hitting_times["halt_time"] = exc.time
+        report = _error_report(cfg, exc)
     write_status(out_dir, report)
     return report

@@ -43,7 +43,10 @@ Covered here:
     flow with fresh temporaries bit for bit (states, status, halt time,
     pair and sigma) on random stationary orbits, and on a collision halt
     and a boundary halt inside a block; the first failing step of a block
-    wins, a NaN separation before a collision,
+    wins, a NaN separation before a collision; the guard checks only the
+    pair rows nearest on the backbone (1 of 4 on the collision data, 3 of
+    6 on the centred hexagon) and the centred 7- and 8-gons, whose side
+    pairs are the nearest, halt on the all-rows reference's pair,
   * a property test: evolve commutes with a rotation of the backbone and
     the fields by exp(i theta), on generic and on free-flow data,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
@@ -1307,6 +1310,35 @@ class TestFreeFlowBlocks:
         i, halt = _separation_halt(psi, np.empty(psi.shape), 0.01, times, nodes, pairs)
         assert i == 0 and isinstance(halt, NumericalGuard)
         assert _separation_halt(psi[:0], np.empty((0, 1, 4)), 0.01, [], nodes, pairs) is None
+
+    @pytest.mark.parametrize("n,pair", [(7, (1, 2)), (8, (1, 8))])
+    def test_side_pairs_halt_as_the_all_rows_reference(self, n, pair):
+        """N >= 7: the side pairs are nearer than the centre pair, and the
+        8-gon's two side pairs tie; the reference guards every row."""
+        state = collision_initial_state(n, make_grid(20.0, 512))
+        result = assert_matches_reference(
+            state, 1.05, 2.5e-4, sample_every=1000, delta_min=0.02, boundary_tol=1e-6
+        )
+        assert result.status == "CollisionDetected" and result.halt_time == 0.99
+        assert result.collision_pair == pair
+
+    @pytest.mark.parametrize("n,rows", [(4, 1), (6, 3)])
+    def test_guard_checks_the_nearest_rows_only(self, n, rows, monkeypatch):
+        """The collision preset guards its centre pair alone, the centred
+        hexagon its centre pair and its two side pairs."""
+        seen = []
+
+        def counted(psi, *args):
+            seen.append(psi.shape[1])
+            return _separation_halt(psi, *args)
+
+        monkeypatch.setattr(vfsim.filaments, "_separation_halt", counted)
+        state = collision_initial_state(n, make_grid(20.0, 512))
+        result = evolve(
+            state, 1.05, 2.5e-4, sample_every=1000, delta_min=0.02, boundary_tol=1e-6
+        )
+        assert result.status == "CollisionDetected"
+        assert seen and set(seen) == {rows}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Covered here:
     of H and A in every filament run's constants,
   * guard mapping: a collision maps to exit code 3 with hitting times,
     a collision run that leaves its box to exit code 5 with its boundary
-    time,
+    time, a reduced run that leaves its box to exit code 5 with the
+    samples before the halt in energies.csv,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
@@ -193,6 +194,22 @@ class TestScenarioRuns:
         assert report.status == "NumericalGuard"
         assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
         assert load_status(out)["exit_code"] == 6
+
+    def test_reduced_halt_keeps_its_samples(self, tmp_path):
+        """A reduced run that a raised guard ends writes the samples before it."""
+        cfg = parse_config_dict(
+            {"scenario": "reduced", "grid": {"L": 4, "M": 128},
+             "time": {"T": 2.0, "dt": 1e-3, "sample_every": 50}}
+        )
+        report = run(cfg, tmp_path)
+        assert report.status == "BoundaryContaminated"
+        assert report.exit_code == EXIT_CODES["BoundaryContaminated"] == 5
+        status = load_status(tmp_path)
+        assert status["hitting_times"] == {"halt_time": 0.001}
+        assert status["files"] == ["energies.csv"]
+        rows = (tmp_path / "energies.csv").read_text().splitlines()
+        assert rows[0] == "t,E,E_GP,sup_dev,min_mod"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0"]
 
     def test_square_nan_field_is_guarded(self, tmp_path):
         grid = make_grid(20.0, 256)
