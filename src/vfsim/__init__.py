@@ -3,7 +3,7 @@
 The package provides four layers that build on each other:
 
 * ``vfsim.grid``: periodic grid, exact Fourier linear propagation,
-  spectral differentiation, quadrature and norms.
+  spectral differentiation and quadrature.
 * ``vfsim.point_vortex``: the planar point-vortex backbone, its relative
   equilibria (polygons, with or without a center vortex), conserved
   quantities, RK4 integration and linear stability spectra.

@@ -249,21 +249,6 @@ def quad_trapezoid(grid: Grid1D, samples: np.ndarray) -> complex | float:
     return float(total)
 
 
-def norms(f: ComplexField) -> tuple[float, float, float]:
-    """(L2, H1, sup) norms of f - background.
-
-    H1^2 = L2^2 + L2(d/dsigma)^2, all discrete.
-    """
-    dev = f.values - f.background
-    l2sq = float(quad_trapezoid(f.grid, np.abs(dev) ** 2))
-    deriv = derivative(f).values
-    dl2sq = float(quad_trapezoid(f.grid, np.abs(deriv) ** 2))
-    l2 = np.sqrt(l2sq)
-    h1 = np.sqrt(l2sq + dl2sq)
-    sup = float(np.max(np.abs(dev))) if len(dev) else 0.0
-    return (float(l2), float(h1), sup)
-
-
 def shift_field(f: ComplexField, displacement: float) -> ComplexField:
     """Evaluate f(sigma - displacement) by the exact Fourier shift."""
     xi = f.grid.wavenumbers

@@ -591,17 +591,18 @@ def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
     k_idx = max(round(math.sqrt(cfg.omega) * grid.half_length / math.pi), 1)
     nu = lattice_wavenumber(grid, math.pi * k_idx / grid.half_length)
-    start = helix_filaments(profile, cfg.N, nu, time=0.0)
-    end = helix_filaments(profile, cfg.N, nu, time=cfg.T)
-    write_fields_csv(os.path.join(out_dir, "helix_t0.csv"), grid, start)
-    write_fields_csv(os.path.join(out_dir, "helix_t1.csv"), grid, end)
+    files = ["helix_t0.csv", "helix_t1.csv"]
+    for name, t in zip(files, (0.0, cfg.T)):
+        # one time's fields are alive at a time, and none under residual_tw
+        write_fields_csv(os.path.join(out_dir, name), grid,
+                         helix_filaments(profile, cfg.N, nu, time=t))
 
     report = _base_report(cfg, "Completed")
     report.constants["nu"] = nu
     report.constants["sigma1"] = profile.sigma1
     report.constants["phase_jump"] = profile.phase_jump
     report.constants["residual"] = residual_tw(profile.v, params)
-    report.files = ["helix_t0.csv", "helix_t1.csv"]
+    report.files = files
     return report
 
 

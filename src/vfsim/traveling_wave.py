@@ -28,6 +28,7 @@ from .errors import (
     EtaEscaped,
     NoRoot,
     NotMonotone,
+    NumericalGuard,
     ZeroModulus,
 )
 from .grid import ComplexField, Grid1D, derivative, make_field, quad_trapezoid, shift_field
@@ -523,57 +524,69 @@ def build_wave(params: WaveParams, grid: Grid1D) -> WaveProfile:
 
 
 def _detwist(field: ComplexField):
-    """Split a field with asymptotically constant phases into (w, twist).
+    """Split a field with asymptotically constant phases into (w, spec, twist).
 
     twist is the linear phase rate lambda = jump / (2 L) with jump read off the
-    two end nodes, and w = field * e^{-i lambda sigma} is periodic up to the
-    field's tail decay.  Exact for any lambda; the choice only controls how
-    smooth w is across the wrap.
+    two end nodes, w = field * e^{-i lambda sigma} is periodic up to the
+    field's tail decay, and spec = fft(w - w(-L)) is its spectrum about the
+    left-end value.  Exact for any lambda; the choice only controls how smooth
+    w is across the wrap.  Raises ZeroModulus if an end node is zero or NaN.
     """
     values = field.values
-    if np.abs(values[0]) == 0.0 or np.abs(values[-1]) == 0.0:
-        raise ZeroModulus(0.0, 0.0)
+    low = np.abs(values[[0, -1]]).min()
+    if not low > 0.0:  # a NaN fails too
+        raise ZeroModulus(float(low), 0.0)
     jump = float(np.angle(values[-1] * np.conj(values[0])))
     twist = jump / (2.0 * field.grid.half_length)
-    w = make_field(
-        field.grid,
-        values * np.exp(-1j * twist * field.grid.nodes),
-        background=values[0] * np.exp(1j * twist * field.grid.half_length),
-    )
-    return w, twist
+    w = values * np.exp(-1j * twist * field.grid.nodes)
+    spec = w - values[0] * np.exp(1j * twist * field.grid.half_length)
+    return w, np.fft.fft(spec, out=spec), twist
 
 
 def residual_tw(v: ComplexField, params: WaveParams) -> float:
     """Sup norm of the travelling-wave equation residual i c v' + v'' + omega (v / |v|^2)(1 - |v|^2).
 
-    Derivatives are spectral, taken through the de-twisted representation so a
-    profile with unequal asymptotic phases is differentiated without wrap
-    artifacts.  The profile must be bounded away from zero.
+    Taken in the de-twisted frame v = w e^{i lambda sigma}, where
+
+        e^{-i lambda sigma} (i c v' + v'') = ifft(spec (-(c + 2 lambda) xi - xi^2))
+                                             - lambda (c + lambda) w,
+
+    so one FFT pair differentiates a profile with unequal asymptotic phases
+    without wrap artifacts.  The profile must be bounded away from zero
+    (ZeroModulus otherwise, also for a NaN), and a residual that is not finite
+    raises NumericalGuard.
     """
     mod2 = np.abs(v.values) ** 2
-    if mod2.min() <= 0.0:
-        raise ZeroModulus(float(np.sqrt(mod2.min())), 0.0)
-    w, twist = _detwist(v)
-    dw = derivative(w).values
-    ddw = derivative(w, order=2).values
-    phase = np.exp(1j * twist * v.grid.nodes)
-    dv = (dw + 1j * twist * w.values) * phase
-    ddv = (ddw + 2j * twist * dw - twist**2 * w.values) * phase
-    resid = 1j * params.c * dv + ddv + params.omega * (v.values / mod2) * (1.0 - mod2)
-    return float(np.max(np.abs(resid)))
+    low = mod2.min()
+    if not low > 0.0:  # a NaN minimum fails too
+        raise ZeroModulus(float(np.sqrt(low)), 0.0)
+    w, resid, twist = _detwist(v)
+    xi = v.grid.wavenumbers
+    resid *= xi * (-(params.c + 2.0 * twist) - xi)
+    np.fft.ifft(resid, out=resid)
+    # the terms without derivatives, the nonlinear one included, are multiples of w
+    gain = np.reciprocal(mod2, out=mod2)
+    gain -= 1.0
+    gain *= params.omega
+    gain -= twist * (params.c + twist)
+    w *= gain
+    resid += w
+    sup = float(np.max(np.abs(resid)))
+    if not math.isfinite(sup):
+        raise NumericalGuard(f"travelling-wave residual is {sup}")
+    return sup
 
 
 def wronskian(v: ComplexField) -> np.ndarray:
-    """Pointwise v1 v2' - v1' v2 (real and imaginary parts), spectrally.
+    """Pointwise v1 v2' - v1' v2 = Im(conj(v) v'), spectrally.
 
     For a travelling wave this equals c eta / 2; computed through the
-    de-twisted representation.
+    de-twisted representation, where Im(conj(v) v') = Im(conj(w) (w' + i lambda w)).
     """
-    w, twist = _detwist(v)
-    dw = derivative(w).values
-    phase = np.exp(1j * twist * v.grid.nodes)
-    dv = (dw + 1j * twist * w.values) * phase
-    return np.imag(np.conj(v.values) * dv)
+    w, spec, twist = _detwist(v)
+    spec *= 1j * v.grid.wavenumbers
+    dw = np.fft.ifft(spec, out=spec)
+    return np.imag(np.conj(w) * (dw + 1j * twist * w))
 
 
 def gp_soliton(params: WaveParams, grid: Grid1D) -> ComplexField:
@@ -612,30 +625,35 @@ def helix_filaments(
     grid = profile.grid
     nu = lattice_wavenumber(grid, nu)
     shift = time * (profile.params.c - 2.0 * nu)
-    w = shift_field(profile.periodic_part, -shift)
-    base = w.values * np.exp(1j * profile.twist * (grid.nodes + shift))
-    common = np.exp(
-        1j * time * (profile.params.omega - nu**2) + 1j * nu * grid.nodes
-    )
-    fields = []
-    for j in range(count):
-        values = base * common * np.exp(2j * np.pi * j / count)
-        fields.append(make_field(grid, values, background=0.0j))
-    return fields
+    w = shift_field(profile.periodic_part, -shift).values
+    # the twist factor stays the left operand, which fixes the helix files'
+    # last bits: numpy's complex product can round the imaginary part
+    # differently when the operands swap
+    base = np.exp(1j * profile.twist * (grid.nodes + shift))
+    base *= w
+    del w
+    base *= np.exp(1j * time * (profile.params.omega - nu**2) + 1j * nu * grid.nodes)
+    return [
+        make_field(grid, base * np.exp(2j * np.pi * j / count), background=0.0j)
+        for j in range(count)
+    ]
+
+
+def _sweep_record(params: WaveParams, grid: Grid1D) -> dict:
+    profile = build_wave(params, grid)
+    return {
+        "c2": params.c**2,
+        "sigma1": profile.sigma1,
+        "energy": profile.energy,
+        "phase_jump": profile.phase_jump,
+        "residual": residual_tw(profile.v, params),
+    }
 
 
 def sweep_waves(params_list: list[WaveParams], grid: Grid1D) -> list[dict]:
-    """Build each wave and collect (c^2, sigma1, energy, phase_jump, residual) records."""
-    records = []
-    for params in params_list:
-        profile = build_wave(params, grid)
-        records.append(
-            {
-                "c2": params.c**2,
-                "sigma1": profile.sigma1,
-                "energy": profile.energy,
-                "phase_jump": profile.phase_jump,
-                "residual": residual_tw(profile.v, params),
-            }
-        )
-    return records
+    """Build each wave and collect (c^2, sigma1, energy, phase_jump, residual) records.
+
+    One profile is alive at a time: each dies with its record's frame, before
+    the next one is built.
+    """
+    return [_sweep_record(params, grid) for params in params_list]

@@ -15,6 +15,7 @@ Covered here:
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
+  * the traced memory peak of the helix preset,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
     traveling-wave file-style --out,
   * cold start: importing the CLI and running a travelling wave load no
@@ -25,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +418,21 @@ class TestScenarioRuns:
         # the pitch sits on the wavenumber lattice pi k / L
         ratio = report.constants["nu"] * cfg.L / np.pi
         assert ratio == pytest.approx(round(ratio))
+
+    def test_helix_traced_peak(self, tmp_path):
+        # the profile (three full-grid complex arrays' worth), one time's
+        # three fields and the temporaries that build them; measured 8.1
+        # such arrays at the preset's M = 65536, the bound leaves about 25 %
+        cfg = scenario_defaults("helix")
+        tracemalloc.start()
+        try:
+            report = run(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "Completed"
+        grids = peak / (16 * cfg.M)
+        assert grids < 10.0, f"helix peak {grids:.2f} full-grid complex arrays"
 
     def test_helix_from_config_writes_three_filaments(self, tmp_path):
         cfg = parse_config_dict({"scenario": "helix", "grid": {"L": 30.0, "M": 1024}})

@@ -11,15 +11,25 @@ Verified here:
     scipy's solve_ivp and cumulative_trapezoid when scipy is installed,
   * phase gauge and oddness, the assembled profile's certified bounds,
   * the travelling-wave equation residual (and a Gross-Pitaevskii soliton as
-    a near-miss negative control),
+    a near-miss negative control) against the two-derivative form it
+    replaced, and its guards on NaN and inf input,
   * Madelung identities, propagation under the time integrator, the energy
-    scaling law over a speed sweep, and helical multi-filament fields.
+    scaling law over a speed sweep, and helical multi-filament fields,
+  * the traced memory peak of a speed sweep at the preset size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vfsim.errors import BoundViolated, DomainError, IncompatibleWavenumber
+from vfsim.errors import (
+    BoundViolated,
+    DomainError,
+    IncompatibleWavenumber,
+    NumericalGuard,
+    ZeroModulus,
+)
 from vfsim.grid import derivative, make_field, make_grid, shift_field
 from vfsim.reduced import PhiState, evolve_bm
 from vfsim.traveling_wave import (
@@ -39,6 +49,7 @@ from vfsim.traveling_wave import (
     sweep_waves,
     wronskian,
 )
+from vfsim.traveling_wave import _detwist
 
 # The reference wave used throughout: omega = 1, c^2 = 1.9.
 OMEGA = 1.0
@@ -52,6 +63,38 @@ SIGMA1_REF = 0.13938898806276276
 
 def reference_params() -> WaveParams:
     return WaveParams(omega=OMEGA, c=C)
+
+
+def oracle_residual_tw(v, params):
+    """The residual as two spectral derivatives (four transforms), kept as
+    the reference for residual_tw's single FFT pair."""
+    values = v.values
+    jump = float(np.angle(values[-1] * np.conj(values[0])))
+    twist = jump / (2.0 * v.grid.half_length)
+    w = make_field(
+        v.grid,
+        values * np.exp(-1j * twist * v.grid.nodes),
+        background=values[0] * np.exp(1j * twist * v.grid.half_length),
+    )
+    mod2 = np.abs(v.values) ** 2
+    dw = derivative(w).values
+    ddw = derivative(w, order=2).values
+    phase = np.exp(1j * twist * v.grid.nodes)
+    dv = (dw + 1j * twist * w.values) * phase
+    ddv = (ddw + 2j * twist * dw - twist**2 * w.values) * phase
+    resid = 1j * params.c * dv + ddv + params.omega * (v.values / mod2) * (1.0 - mod2)
+    return float(np.max(np.abs(resid)))
+
+
+def twisted_random_field(seed):
+    """A smooth random field with |v| -> 1 and unequal asymptotic phases."""
+    grid = make_grid(32.0, 1024)
+    rng = np.random.default_rng(seed)
+    s = grid.nodes[:, None]
+    bumps = np.exp(-(((s - rng.uniform(-5.0, 5.0, 4)) / rng.uniform(0.5, 2.0, 4)) ** 2))
+    modulus = 1.0 + bumps @ rng.uniform(-0.15, 0.15, 4)
+    phase = 0.8 * np.tanh(grid.nodes) + bumps @ rng.uniform(-1.0, 1.0, 4)
+    return make_field(grid, modulus * np.exp(1j * phase), background=np.exp(0.8j))
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +431,46 @@ class TestResidual:
         res = residual_tw(control, wave.params)
         assert 1e-3 < res < 1e-2, f"negative control residual {res:.3g}"
 
+    def test_wave_matches_oracle(self, wave):
+        new, ref = residual_tw(wave.v, wave.params), oracle_residual_tw(wave.v, wave.params)
+        assert abs(new - ref) <= 1e-12, f"{new!r} vs oracle {ref!r}"
+
+    def test_gp_soliton_matches_oracle(self, wave):
+        control = gp_soliton(wave.params, wave.grid)
+        new, ref = residual_tw(control, wave.params), oracle_residual_tw(control, wave.params)
+        assert abs(new - ref) <= 1e-12, f"{new!r} vs oracle {ref!r}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_twisted_random_field_matches_oracle(self, seed):
+        field = twisted_random_field(seed)
+        assert abs(_detwist(field)[2]) > 1e-3  # the de-twist is exercised
+        params = reference_params()
+        new, ref = residual_tw(field, params), oracle_residual_tw(field, params)
+        assert abs(new - ref) <= 1e-12, f"{new!r} vs oracle {ref!r}"
+
+    @pytest.mark.parametrize(
+        "index, bad, error",
+        [
+            (200, np.nan, ZeroModulus),  # a NaN modulus fails the floor
+            (200, np.inf, NumericalGuard),  # the residual is not finite
+            (-1, np.nan, ZeroModulus),
+        ],
+        ids=["nan-inside", "inf-inside", "nan-at-end"],
+    )
+    def test_non_finite_field_is_guarded(self, index, bad, error):
+        grid = make_grid(64.0, 512)
+        values = np.ones(grid.num_points, dtype=complex)
+        values[index] = bad
+        with pytest.raises(error):
+            residual_tw(make_field(grid, values, background=1.0), reference_params())
+
+    def test_wronskian_rejects_nan_end(self):
+        grid = make_grid(64.0, 512)
+        values = np.ones(grid.num_points, dtype=complex)
+        values[0] = np.nan
+        with pytest.raises(ZeroModulus):
+            wronskian(make_field(grid, values, background=1.0))
+
 
 class TestGpSoliton:
     def test_center_modulus(self):
@@ -432,12 +515,9 @@ class TestMadelung:
         assert err < 1e-8, f"wronskian identity off by {err:.3g}"
 
     def test_gradient_identity(self, fine_wave):
-        from vfsim.traveling_wave import _detwist
-
-        w, twist = _detwist(fine_wave.v)
-        dv = (derivative(w).values + 1j * twist * w.values) * np.exp(
-            1j * twist * fine_wave.grid.nodes
-        )
+        w, spec, twist = _detwist(fine_wave.v)
+        dw = np.fft.ifft(1j * fine_wave.grid.wavenumbers * spec)
+        dv = (dw + 1j * twist * w) * np.exp(1j * twist * fine_wave.grid.nodes)
         om = fine_wave.params.omega
         target = -om * np.log1p(-fine_wave.eta) - om * fine_wave.eta
         err = np.abs(np.abs(dv) ** 2 - target).max()
@@ -521,3 +601,18 @@ class TestSweep:
     def test_phase_jump_monotone_in_gap(self, sweep_records):
         jumps = [r["phase_jump"] for r in sweep_records]
         assert all(a < b for a, b in zip(jumps, jumps[1:]))
+
+    def test_traced_peak_holds_one_profile(self):
+        # one profile is three full-grid complex arrays' worth (v, w, and the
+        # real eta and theta), and building it and its residual needs a few
+        # more; measured 6.6 such arrays, the bound leaves about 25 % on top
+        grid = make_grid(400.0, 65536)
+        params = [WaveParams(omega=1.0, c=float(np.sqrt(c2))) for c2 in (1.99, 1.95, 1.90)]
+        tracemalloc.start()
+        try:
+            sweep_waves(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = peak / (16 * grid.num_points)
+        assert grids < 8.0, f"sweep peak {grids:.2f} full-grid complex arrays"
