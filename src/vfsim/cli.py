@@ -15,6 +15,8 @@ Every run writes ``status.json`` describing the outcome; the process
 exit code mirrors the terminal status (0 completed, 2 config error,
 3 collision, 4 energy cap, 5 boundary contamination, 6 numerical
 guard).  Without ``--config`` the scenario's preset defaults are used.
+``--seed``, ``--omega``, ``--c2``, ``--L`` and ``--M`` set the matching
+config-file value and are validated like it.
 The traveling-wave ``--out`` may name the CSV file directly; for every
 other scenario it names the output directory.
 """
@@ -25,7 +27,7 @@ import argparse
 import os
 import sys
 
-from .config import SCENARIOS, parse_config, scenario_defaults
+from .config import SCENARIOS, parse_config_dict, read_config_json
 from .errors import ConfigError
 from .runner import run
 
@@ -46,17 +48,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: out)")
         p.add_argument("--dump-fields", action="store_true",
                        help="also dump sampled fields as fields_t*.csv")
-        p.add_argument("--seed", metavar="S", type=int, default=None,
+        # a flag whose dest is "section.key" sets that config-file value
+        p.add_argument("--seed", metavar="S", type=int, dest="perturbation.seed",
                        help="override the perturbation seed")
         if command == "traveling-wave":
-            p.add_argument("--omega", type=float, default=None,
+            p.add_argument("--omega", type=float, dest="config.omega", metavar="OMEGA",
                            help="rotation rate of the background square")
-            p.add_argument("--c2", type=float, default=None,
+            p.add_argument("--c2", type=float, dest="config.c2", metavar="C2",
                            help="squared wave speed (0 < c2 < 2*omega)")
-            p.add_argument("--L", type=float, default=None,
+            p.add_argument("--L", type=float, dest="grid.L", metavar="L",
                            help="domain half-length")
-            p.add_argument("--M", type=int, default=None,
-                           help="number of grid points (even)")
+            p.add_argument("--M", type=int, dest="grid.M", metavar="M",
+                           help="number of grid points (even, >= 8)")
             p.add_argument("--sweep", metavar="c2=START:STOP:COUNT",
                            default=None,
                            help="sweep c2 instead of building one profile")
@@ -67,31 +70,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     scenario = args.command.replace("-", "_")
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config, scenario=scenario)
-        else:
-            cfg = scenario_defaults(scenario)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        sweep = None
-        if scenario == "traveling_wave":
-            if args.omega is not None:
-                cfg.omega = args.omega
-            if args.c2 is not None:
-                cfg.c2 = args.c2
-            if args.L is not None:
-                cfg.L = args.L
-            if args.M is not None:
-                cfg.M = args.M
-            if cfg.M % 2 != 0:
-                raise ConfigError("grid.M", f"must be even, got {cfg.M}")
-            if not 0.0 < cfg.c2 < 2.0 * cfg.omega:
-                raise ConfigError(
-                    "config.c2",
-                    f"needs 0 < c2 < 2*omega (subsonic regime), got "
-                    f"c2={cfg.c2!r} with omega={cfg.omega!r}",
-                )
-            sweep = args.sweep
+        data = {} if args.config is None else read_config_json(args.config)
+        for dest, value in vars(args).items():
+            section, _, key = dest.partition(".")
+            sec = data.get(section, {}) if isinstance(data, dict) else None
+            if key and value is not None and isinstance(sec, dict):
+                data[section] = {**sec, key: value}
+        cfg = parse_config_dict(data, scenario)
     except ConfigError as exc:
         print(f"vfsim: config error at {exc.field}: {exc.reason}",
               file=sys.stderr)
@@ -106,9 +91,11 @@ def main(argv: list[str] | None = None) -> int:
     report = run(
         cfg, out,
         dump_fields=args.dump_fields,
-        sweep=sweep,
+        sweep=getattr(args, "sweep", None),
         out_name=out_name,
     )
+    if "error" in report.constants:
+        print(f"vfsim: {report.status}: {report.constants['error']}", file=sys.stderr)
     print(f"vfsim: {report.status} (exit {report.exit_code}), "
           f"wrote {len(report.files)} file(s) + status.json to {out}")
     return report.exit_code

@@ -13,16 +13,19 @@ sections::
 
 Every key is optional (scenario presets fill the rest), unknown keys are
 rejected, and every violation raises ConfigError carrying the dotted field
-path.  The reduced, traveling_wave and helix scenarios use the ``config``
+path.  Every number must be finite, except the two guard levels
+``energy_cap_factor`` and ``boundary_tol``, where +inf turns the guard off.  The reduced, traveling_wave and helix scenarios use the ``config``
 section for their wave parameters (``omega``, ``c2``) instead of a backbone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .grid import MIN_POINTS
 
 SCENARIOS = (
     "point_vortex",
@@ -77,40 +80,93 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _reject_unknown(section: dict, known: tuple[str, ...], where: str) -> None:
+def _reject_unknown(section: dict, known, where: str) -> None:
     for key in section:
         if key not in known:
             raise ConfigError(f"{where}.{key}" if where else key, "unknown key")
 
 
-def _number(section: dict, where: str, key: str, default, positive=True):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{where}.{key}", f"must be positive, got {value}")
-    return float(value)
+def _number(positive: bool = True, finite: bool = True, optional: bool = False):
+    def parse(value, where: str) -> float | None:
+        if optional and value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(where, f"expected a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(where, "must be finite, got an integer beyond float range") from None
+        if math.isnan(value) or (finite and math.isinf(value)):
+            raise ConfigError(where, f"must be finite, got {value}")
+        if positive and not value > 0:
+            raise ConfigError(where, f"must be positive, got {value}")
+        return value
+    return parse
 
 
-def _integer(section: dict, where: str, key: str, default, minimum=1) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}", f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}.{key}", f"must be >= {minimum}, got {value}")
+def _path(value, where: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(where, f"expected a string, got {value!r}")
     return value
 
 
-def _choice(section: dict, where: str, key: str, default: str,
-            allowed: tuple[str, ...]) -> str:
-    value = section.get(key, default)
-    if value not in allowed:
-        raise ConfigError(
-            f"{where}.{key}", f"must be one of {allowed}, got {value!r}"
-        )
-    return value
+def _integer(minimum: int):
+    def parse(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(where, f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(where, f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _choice(allowed: tuple[str, ...]):
+    def parse(value, where: str) -> str:
+        if value not in allowed:
+            raise ConfigError(where, f"must be one of {allowed}, got {value!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _number()
+_REAL = _number(positive=False)
+
+# The run-input schema: section -> key -> (ScenarioConfig attribute, parser).
+# parse_config_dict reads files through it and config_echo writes it back.
+# The guard levels may be +inf, which turns the guard off (see evolve_samples).
+SCHEMA = {
+    "config": {
+        "kind": ("kind", _choice(BACKBONE_KINDS)),
+        "N": ("N", _integer(2)),
+        "R": ("R", _POSITIVE),
+        "gamma": ("gamma", _POSITIVE),
+        "gamma0": ("gamma0", _number(positive=False, optional=True)),
+        "omega": ("omega", _POSITIVE),
+        "c2": ("c2", _POSITIVE),
+    },
+    "grid": {
+        "L": ("L", _POSITIVE),
+        "M": ("M", _integer(MIN_POINTS)),
+    },
+    "perturbation": {
+        "kind": ("pert_kind", _choice(PERTURBATION_KINDS)),
+        "amp": ("amp", _POSITIVE),
+        "width": ("width", _POSITIVE),
+        "center": ("center", _REAL),
+        "seed": ("seed", _integer(0)),
+        "path": ("path", _path),
+    },
+    "time": {
+        "T": ("T", _POSITIVE),
+        "dt": ("dt", _POSITIVE),
+        "sample_every": ("sample_every", _integer(1)),
+    },
+    "guards": {
+        "delta_min": ("delta_min", _POSITIVE),
+        "energy_cap_factor": ("energy_cap_factor", _number(finite=False)),
+        "boundary_tol": ("boundary_tol", _number(finite=False)),
+    },
+}
 
 
 def scenario_defaults(scenario: str) -> ScenarioConfig:
@@ -150,14 +206,14 @@ def scenario_defaults(scenario: str) -> ScenarioConfig:
 
 
 def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig:
-    """Validate a parsed JSON object and fill scenario defaults."""
+    """Validate a parsed JSON object and fill scenario defaults.
+
+    Each key goes through its SCHEMA parser; the rules that tie fields
+    together are checked after that pass.
+    """
     if not isinstance(data, dict):
         raise ConfigError("", f"top level must be a JSON object, got {type(data).__name__}")
-    _reject_unknown(
-        data,
-        ("scenario", "config", "grid", "perturbation", "time", "guards"),
-        "",
-    )
+    _reject_unknown(data, ("scenario", *SCHEMA), "")
     tag = data.get("scenario", scenario)
     if tag is None:
         raise ConfigError("scenario", "missing (and no subcommand default)")
@@ -167,57 +223,29 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
         )
     cfg = scenario_defaults(tag)
     cfg.raw = data
+    for name, keys in SCHEMA.items():
+        sec = data.get(name, {})
+        if not isinstance(sec, dict):
+            raise ConfigError(name, "must be an object")
+        _reject_unknown(sec, keys, name)
+        for key, value in sec.items():
+            attr, parse = keys[key]
+            setattr(cfg, attr, parse(value, f"{name}.{key}"))
 
-    sec = data.get("config", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("config", "must be an object")
-    _reject_unknown(
-        sec, ("kind", "N", "R", "gamma", "gamma0", "omega", "c2"), "config"
-    )
-    cfg.kind = _choice(sec, "config", "kind", cfg.kind, BACKBONE_KINDS)
     if cfg.kind in _FIXED_N:
-        cfg.N = _integer(sec, "config", "N", _FIXED_N[cfg.kind], minimum=2)
-        if cfg.N != _FIXED_N[cfg.kind]:
-            raise ConfigError(
-                "config.N", f"kind {cfg.kind!r} fixes N={_FIXED_N[cfg.kind]}, got {cfg.N}"
-            )
-    else:
-        cfg.N = _integer(sec, "config", "N", cfg.N, minimum=2)
-    cfg.R = _number(sec, "config", "R", cfg.R)
-    cfg.gamma = _number(sec, "config", "gamma", cfg.gamma)
-    cfg.gamma0 = _number(sec, "config", "gamma0", cfg.gamma0, positive=False)
-    cfg.omega = _number(sec, "config", "omega", cfg.omega)
-    cfg.c2 = _number(sec, "config", "c2", cfg.c2)
+        fixed = _FIXED_N[cfg.kind]
+        if "N" not in data.get("config", {}):
+            cfg.N = fixed
+        elif cfg.N != fixed:
+            raise ConfigError("config.N", f"kind {cfg.kind!r} fixes N={fixed}, got {cfg.N}")
     if tag in ("traveling_wave", "helix") and not cfg.c2 < 2.0 * cfg.omega:
         raise ConfigError(
             "config.c2",
             f"needs 0 < c2 < 2*omega (subsonic regime), got c2={cfg.c2}, "
             f"omega={cfg.omega}",
         )
-
-    sec = data.get("grid", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("grid", "must be an object")
-    _reject_unknown(sec, ("L", "M"), "grid")
-    cfg.L = _number(sec, "grid", "L", cfg.L)
-    cfg.M = _integer(sec, "grid", "M", cfg.M, minimum=2)
     if cfg.M % 2 != 0:
         raise ConfigError("grid.M", f"must be even, got {cfg.M}")
-
-    sec = data.get("perturbation", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("perturbation", "must be an object")
-    _reject_unknown(
-        sec, ("kind", "amp", "width", "center", "seed", "path"), "perturbation"
-    )
-    cfg.pert_kind = _choice(
-        sec, "perturbation", "kind", cfg.pert_kind, PERTURBATION_KINDS
-    )
-    cfg.amp = _number(sec, "perturbation", "amp", cfg.amp)
-    cfg.width = _number(sec, "perturbation", "width", cfg.width)
-    cfg.center = _number(sec, "perturbation", "center", cfg.center, positive=False)
-    cfg.seed = _integer(sec, "perturbation", "seed", cfg.seed, minimum=0)
-    cfg.path = sec.get("path", cfg.path)
     if cfg.pert_kind == "file" and not cfg.path:
         raise ConfigError("perturbation.path", "required for kind 'file'")
     if cfg.pert_kind == "parallelogram" and (cfg.kind != "square" or cfg.N != 4):
@@ -225,30 +253,30 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             "perturbation.kind",
             "parallelogram data needs the plain square backbone",
         )
-
-    sec = data.get("time", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("time", "must be an object")
-    _reject_unknown(sec, ("T", "dt", "sample_every"), "time")
-    cfg.T = _number(sec, "time", "T", cfg.T)
-    cfg.dt = _number(sec, "time", "dt", cfg.dt)
-    cfg.sample_every = _integer(sec, "time", "sample_every", cfg.sample_every)
     if cfg.dt > cfg.T:
         raise ConfigError("time.dt", f"dt={cfg.dt} exceeds T={cfg.T}")
-
-    sec = data.get("guards", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("guards", "must be an object")
-    _reject_unknown(
-        sec, ("delta_min", "energy_cap_factor", "boundary_tol"), "guards"
-    )
-    cfg.delta_min = _number(sec, "guards", "delta_min", cfg.delta_min)
-    cfg.energy_cap_factor = _number(
-        sec, "guards", "energy_cap_factor", cfg.energy_cap_factor
-    )
-    cfg.boundary_tol = _number(sec, "guards", "boundary_tol", cfg.boundary_tol)
-
     return cfg
+
+
+def config_echo(cfg: ScenarioConfig) -> dict:
+    """The config with every default filled in, laid out as a scenario file."""
+    echo = {
+        name: {key: getattr(cfg, attr) for key, (attr, _) in keys.items()}
+        for name, keys in SCHEMA.items()
+    }
+    echo["scenario"] = cfg.scenario
+    return echo
+
+
+def read_config_json(path):
+    """The JSON object of a scenario file, unvalidated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, an overlong integer
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
 
 
 def parse_config(path, scenario: str | None = None) -> ScenarioConfig:
@@ -257,11 +285,4 @@ def parse_config(path, scenario: str | None = None) -> ScenarioConfig:
     ``scenario`` (from the subcommand) fills the tag when the file omits it
     and must agree with the file when both are present.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-    return parse_config_dict(data, scenario)
+    return parse_config_dict(read_config_json(path), scenario)

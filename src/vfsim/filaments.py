@@ -379,7 +379,9 @@ class EnergyReport:
     is what makes E land exactly on N * energy_bm for dilation data; the
     price is that the dilation identity for I reads 2I = omega * A.
     ``vw_norms`` holds (||u_1+u_3||, ||u_2+u_4||) for plain 4-filament
-    configurations and None otherwise.
+    configurations and None otherwise.  ``pair_norm_sum`` sums ||u_j - u_k||
+    over the ordered pairs j != k and ``pair_norm_max`` is its largest term;
+    ``growth_constants`` fits the growth bounds from them.
     """
 
     time: float
@@ -391,6 +393,8 @@ class EnergyReport:
     sup_ratio_dev: float
     min_sep: float
     vw_norms: tuple[float, float] | None = None
+    pair_norm_sum: float = 0.0
+    pair_norm_max: float = 0.0
 
 
 def _log_ratio(rel: np.ndarray) -> np.ndarray:
@@ -416,21 +420,24 @@ def _sq_norms(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
 
 def _pair_terms(
     state: FilamentState,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(kinetic, Gamma_j Gamma_k, |X_jk|^2, density) of a snapshot.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(kinetic, Gamma_j Gamma_k, |X_jk|^2, density, ||u_jk||) of a snapshot.
 
     kinetic = (1/2) sum_j Gamma_j^2 ||d u_j/dsigma||^2.  The pair terms are
-    (P, 1), (P, 1) and (P, M) rows in the layout of ``_pair_differences``;
-    the density |Psi_jk|^2 - |X_jk|^2 is expanded around the backbone as
-    2 Re(conj(X_jk) u_jk) + |u_jk|^2 so small perturbations are not lost
-    to cancellation.
+    (P, 1), (P, 1), (P, M) and (P,) rows in the layout of
+    ``_pair_differences``; the density |Psi_jk|^2 - |X_jk|^2 is expanded
+    around the backbone as 2 Re(conj(X_jk) u_jk) + |u_jk|^2 so small
+    perturbations are not lost to cancellation.
     """
     g = state.cfg.circulations
     du = np.stack([derivative(f).values for f in state.u])
     kinetic = 0.5 * float(g**2 @ _sq_norms(state.grid, du))
     (j, k), xd, ud = _pair_differences(state)
-    density = 2.0 * (np.conj(xd) * ud).real + np.abs(ud) ** 2
-    return kinetic, (g[j] * g[k])[:, None], np.abs(xd) ** 2, density
+    density = 2.0 * (np.conj(xd) * ud).real
+    ud_sq = np.abs(ud) ** 2
+    density += ud_sq
+    norms = np.sqrt(state.grid.spacing * np.sum(ud_sq, axis=-1))
+    return kinetic, (g[j] * g[k])[:, None], np.abs(xd) ** 2, density, norms
 
 
 def energies(state: FilamentState) -> EnergyReport:
@@ -446,7 +453,7 @@ def energies(state: FilamentState) -> EnergyReport:
     g = state.cfg.circulations
     xs = backbone(state)
     u_vals = _values_matrix(state)
-    kinetic, gg, xd_sq, pair_dens = _pair_terms(state)
+    kinetic, gg, xd_sq, pair_dens, pair_norms = _pair_terms(state)
 
     # per-filament density |Psi_j|^2 - |X_j|^2
     self_dens = 2.0 * (np.conj(xs)[:, None] * u_vals).real + np.abs(u_vals) ** 2
@@ -490,6 +497,8 @@ def energies(state: FilamentState) -> EnergyReport:
         sup_ratio_dev=float(np.max(np.abs(rel), initial=0.0)),
         min_sep=min_sep,
         vw_norms=vw_norms,
+        pair_norm_sum=2.0 * float(np.sum(pair_norms)),
+        pair_norm_max=float(np.max(pair_norms, initial=0.0)),
     )
 
 
@@ -758,7 +767,7 @@ def coercivity_check(
             f"ratio deviation {report.sup_ratio_dev:.3e} exceeds 1/4; "
             "the coercivity bound only holds on the band [3/4, 5/4]"
         )
-    kinetic, gg, xd_sq, pair_dens = _pair_terms(state)
+    kinetic, gg, xd_sq, pair_dens, _ = _pair_terms(state)
     rel = pair_dens / xd_sq
     quad = float(quad_trapezoid(state.grid, np.sum(gg * rel**2, axis=0)))
 
@@ -886,17 +895,10 @@ def tilde_E0(state: FilamentState, report: EnergyReport | None = None) -> float:
     return max(rep.E, 0.5 * (v**2 + w**2))
 
 
-def pair_norm_scalars(state: FilamentState) -> tuple[float, float]:
-    """(sum over ordered pairs j != k, max over pairs) of ||u_j - u_k||,
-    from one pass over the unordered pairs."""
-    _, _, ud = _pair_differences(state)
-    norms = np.sqrt(_sq_norms(state.grid, ud))
-    return 2.0 * float(np.sum(norms)), float(np.max(norms, initial=0.0))
-
-
 def max_pair_norm(state: FilamentState) -> float:
     """Largest L2 norm of a pair difference u_j - u_k."""
-    return pair_norm_scalars(state)[1]
+    _, _, ud = _pair_differences(state)
+    return float(np.max(np.sqrt(_sq_norms(state.grid, ud)), initial=0.0))
 
 
 def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
@@ -934,14 +936,14 @@ def growth_monitors(
     """Fit the growth-bound constants over a sampled trajectory."""
     if reports is None:
         reports = [energies(s) for s in states]
-    sums, maxima = zip(*map(pair_norm_scalars, states))
-    return growth_constants(reports, sums, maxima)
+    return growth_constants(reports)
 
 
-def growth_constants(reports, sums, maxima) -> GrowthConstants:
-    """Fit the growth-bound constants from per-sample scalars: each
-    sample's EnergyReport and its two ``pair_norm_scalars``.  The
-    diagonal-sum constant is fitted when the reports carry vw_norms."""
+def growth_constants(reports: list[EnergyReport]) -> GrowthConstants:
+    """Fit the growth-bound constants from each sample's EnergyReport.
+    The diagonal-sum constant is fitted when the reports carry vw_norms."""
+    sums = [r.pair_norm_sum for r in reports]
+    maxima = [r.pair_norm_max for r in reports]
     times = [r.time for r in reports]
     t0 = times[0]
     energies_pos = [max(r.E, 0.0) for r in reports]

@@ -9,12 +9,16 @@ so the FFT only ever sees a field that decays at the boundary.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import starmap
 
 import numpy as np
 
 from .errors import BoundaryContaminated, InvalidGrid, VfsimError
+
+#: Fewest grid points make_grid accepts (the count must also be even).
+MIN_POINTS = 8
 
 #: Default tolerance for the "field is flat at the domain ends" guard.
 DEFAULT_BOUNDARY_TOL = 1e-10
@@ -49,8 +53,8 @@ def make_grid(half_length: float, num_points: int) -> Grid1D:
     """
     if half_length <= 0:
         raise InvalidGrid(f"half_length must be positive, got {half_length}")
-    if num_points % 2 != 0 or num_points < 8:
-        raise InvalidGrid(f"num_points must be even and >= 8, got {num_points}")
+    if num_points % 2 != 0 or num_points < MIN_POINTS:
+        raise InvalidGrid(f"num_points must be even and >= {MIN_POINTS}, got {num_points}")
     h = 2.0 * half_length / num_points
     nodes = -half_length + h * np.arange(num_points)
     wavenumbers = 2.0 * np.pi * np.fft.fftfreq(num_points, d=h)
@@ -295,8 +299,14 @@ def write_fields_csv(path, grid: Grid1D, fields: list[ComplexField] | list[np.nd
 
 
 def read_fields_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a CSV written by write_fields_csv: (sigma nodes, field arrays)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    """Read a CSV written by write_fields_csv: (sigma nodes, field arrays).
+    A malformed file raises ValueError."""
+    with warnings.catch_warnings():  # numpy warns on an empty file, then fails
+        warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
+        try:
+            data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        except IndexError:
+            raise ValueError(f"{path} has no header row") from None
     names = data.dtype.names
     sigma = np.asarray(data["sigma"], dtype=float)
     n_fields = (len(names) - 1) // 2

@@ -30,7 +30,7 @@ from importlib import metadata
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig
+from .config import ScenarioConfig, config_echo
 from .errors import (
     BoundaryContaminated,
     CollisionDetected,
@@ -45,7 +45,6 @@ from .filaments import (
     evolve_samples,
     filament_state,
     growth_constants,
-    pair_norm_scalars,
     predicted_T,
     tilde_E0,
     write_reports_csv,
@@ -165,38 +164,6 @@ def _versions() -> dict:
     }
 
 
-def _effective_config(cfg: ScenarioConfig) -> dict:
-    """The config with every default filled in, for the report echo."""
-    echo = {
-        "scenario": cfg.scenario,
-        "config": {
-            "kind": cfg.kind,
-            "N": cfg.N,
-            "R": cfg.R,
-            "gamma": cfg.gamma,
-            "gamma0": cfg.gamma0,
-            "omega": cfg.omega,
-            "c2": cfg.c2,
-        },
-        "grid": {"L": cfg.L, "M": cfg.M},
-        "perturbation": {
-            "kind": cfg.pert_kind,
-            "amp": cfg.amp,
-            "width": cfg.width,
-            "center": cfg.center,
-            "seed": cfg.seed,
-            "path": cfg.path,
-        },
-        "time": {"T": cfg.T, "dt": cfg.dt, "sample_every": cfg.sample_every},
-        "guards": {
-            "delta_min": cfg.delta_min,
-            "energy_cap_factor": cfg.energy_cap_factor,
-            "boundary_tol": cfg.boundary_tol,
-        },
-    }
-    return echo
-
-
 def _acceptance_for(cfg: ScenarioConfig) -> str:
     key = (cfg.scenario, cfg.pert_kind)
     if key in _ACCEPTANCE:
@@ -211,7 +178,7 @@ def _base_report(cfg: ScenarioConfig, status: str,
         status=status,
         exit_code=EXIT_CODES[status],
         scenario=cfg.scenario,
-        config_echo=_effective_config(cfg),
+        config_echo=config_echo(cfg),
         versions=_versions(),
         acceptance=_acceptance_for(cfg),
         symmetry=symmetry.name if symmetry is not None else None,
@@ -280,6 +247,21 @@ def _random_bump(rng: np.random.Generator, grid: Grid1D, amp: float,
     return vals
 
 
+def _read_field_file(path, grid: Grid1D) -> list[np.ndarray]:
+    """The field arrays of the ``perturbation.path`` CSV, checked against
+    the grid; any failure is a ConfigError on that path."""
+    try:
+        sigma, arrays = read_fields_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("perturbation.path", f"cannot read: {exc}") from exc
+    if len(sigma) != grid.num_points or abs(sigma[0] - grid.nodes[0]) > 1e-12:
+        raise ConfigError(
+            "perturbation.path",
+            f"fields in {path} do not match the configured grid",
+        )
+    return arrays
+
+
 def _gaussian_profile(cfg: ScenarioConfig, grid: Grid1D) -> np.ndarray:
     return cfg.amp * np.exp(-(((grid.nodes - cfg.center) / cfg.width) ** 2))
 
@@ -313,16 +295,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
         fields = [make_field(grid, v) for v in (ga, gb, -ga, -gb)]
         return filament_state(fields, vortex, symmetry=point_reflection())
     if cfg.pert_kind == "file":
-        try:
-            sigma, arrays = read_fields_csv(cfg.path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError("perturbation.path", f"cannot read: {exc}") from exc
-        if len(sigma) != grid.num_points or abs(sigma[0] - grid.nodes[0]) > 1e-12:
-            raise ConfigError(
-                "perturbation.path",
-                f"fields in {cfg.path} do not match the configured grid",
-            )
-        fields = [make_field(grid, a) for a in arrays]
+        fields = [make_field(grid, a) for a in _read_field_file(cfg.path, grid)]
         return filament_state(fields, vortex)
     raise ConfigError("perturbation.kind", f"unknown kind {cfg.pert_kind!r}")
 
@@ -369,11 +342,10 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         values = 1.0 + _gaussian_profile(cfg, grid)
         phi = make_field(grid, values.astype(np.complex128), background=1.0)
     elif cfg.pert_kind == "file":
-        sigma, arrays = read_fields_csv(cfg.path)
-        if len(arrays) != 1 or len(sigma) != grid.num_points:
+        arrays = _read_field_file(cfg.path, grid)
+        if len(arrays) != 1:
             raise ConfigError(
-                "perturbation.path",
-                f"{cfg.path} does not hold a single profile on the grid",
+                "perturbation.path", f"{cfg.path} does not hold a single profile"
             )
         phi = make_field(grid, arrays[0], background=1.0)
     else:
@@ -421,11 +393,10 @@ def _dump_fields(out_dir, index: int, grid: Grid1D, fields) -> str:
 
 
 def _stream_filaments(cfg: ScenarioConfig, state: FilamentState, out_dir,
-                      dump_fields: bool, per_sample=None, **guards):
+                      dump_fields: bool, **guards):
     """Run ``evolve_samples`` on the config's time and guard settings,
-    writing each snapshot's field dump as it arrives and passing the
-    snapshot to ``per_sample``, then dropping it; then write energies.csv.
-    Returns (reports, halt, files)."""
+    writing each snapshot's field dump as it arrives, then dropping it;
+    then write energies.csv.  Returns (reports, halt, files)."""
     reports, files, halt = [], ["energies.csv"], None
     for snap, rep, halt in evolve_samples(
         state, cfg.T, cfg.dt,
@@ -438,8 +409,6 @@ def _stream_filaments(cfg: ScenarioConfig, state: FilamentState, out_dir,
             continue
         if dump_fields:
             files.append(_dump_fields(out_dir, len(reports), snap.grid, list(snap.u)))
-        if per_sample is not None:
-            per_sample(snap)
         reports.append(rep)
     write_reports_csv(os.path.join(out_dir, "energies.csv"), reports)
     return reports, halt, files
@@ -479,15 +448,8 @@ def _halt_status(halt: VfsimError | None) -> str:
 def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
     state = build_filament_state(cfg, grid)
-    sums, maxima = [], []
-
-    def pair_norms(snap: FilamentState) -> None:
-        total, largest = pair_norm_scalars(snap)
-        sums.append(total)
-        maxima.append(largest)
-
     reports, halt, files = _stream_filaments(
-        cfg, state, out_dir, dump_fields, pair_norms,
+        cfg, state, out_dir, dump_fields,
         energy_cap_factor=cfg.energy_cap_factor,
     )
 
@@ -495,7 +457,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     if state.count == 4 and not state.cfg.has_center:
         te0 = tilde_E0(state, reports[0])
         report.constants["tilde_E0"] = te0
-        report.constants["predicted_T"] = predicted_T(te0, maxima[0])
+        report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
     report.constants.update(_conserved_drifts(reports))
     e0 = reports[0].E
     drift = max(abs(r.E - e0) for r in reports)
@@ -504,7 +466,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         report.constants["rel_drift_E"] = drift / abs(e0)
     if all(r.vw_norms is not None for r in reports):
         report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
-    growth = growth_constants(reports, sums, maxima)
+    growth = growth_constants(reports)
     report.constants["pair_norm_C"] = growth.pair_norm_C
     if growth.vw_C is not None:
         report.constants["vw_C"] = growth.vw_C

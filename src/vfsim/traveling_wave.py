@@ -530,12 +530,15 @@ def _detwist(field: ComplexField):
     two end nodes, w = field * e^{-i lambda sigma} is periodic up to the
     field's tail decay, and spec = fft(w - w(-L)) is its spectrum about the
     left-end value.  Exact for any lambda; the choice only controls how smooth
-    w is across the wrap.  Raises ZeroModulus if an end node is zero or NaN.
+    w is across the wrap.  Raises ZeroModulus if an end node is zero or NaN,
+    and NumericalGuard if any other node is not finite.
     """
     values = field.values
     low = np.abs(values[[0, -1]]).min()
     if not low > 0.0:  # a NaN fails too
         raise ZeroModulus(float(low), 0.0)
+    if not np.isfinite(values).all():
+        raise NumericalGuard("the field has a node that is not finite")
     jump = float(np.angle(values[-1] * np.conj(values[0])))
     twist = jump / (2.0 * field.grid.half_length)
     w = values * np.exp(-1j * twist * field.grid.nodes)
@@ -582,6 +585,8 @@ def wronskian(v: ComplexField) -> np.ndarray:
 
     For a travelling wave this equals c eta / 2; computed through the
     de-twisted representation, where Im(conj(v) v') = Im(conj(w) (w' + i lambda w)).
+    Raises ZeroModulus on a zero or NaN end node and NumericalGuard on any
+    other node that is not finite.
     """
     w, spec, twist = _detwist(v)
     spec *= 1j * v.grid.wavenumbers

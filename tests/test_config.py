@@ -11,20 +11,28 @@ Covered here:
     type checks, the subsonic speed window for wave scenarios, fixed-N
     backbones, perturbation cross-requirements (file path, square-only
     parallelogram), dt versus T,
-  * file handling: JSON round trip, unreadable paths, invalid JSON.
+  * file handling: JSON round trip, unreadable paths, invalid JSON,
+  * the schema: the empty file is each scenario's preset, every number
+    is finite except the two guard levels (+inf turns them off), M has
+    make_grid's lower bound, and the echo reads back as the same config.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
 
 from vfsim.config import (
+    SCENARIOS,
     ScenarioConfig,
+    config_echo,
     parse_config,
     parse_config_dict,
     scenario_defaults,
 )
 from vfsim.errors import ConfigError
+from vfsim.grid import MIN_POINTS
 
 
 def err(data, scenario=None) -> ConfigError:
@@ -239,3 +247,57 @@ class TestDataclass:
         cfg = ScenarioConfig(scenario="square")
         assert cfg.kind == "square"
         assert cfg.sample_every == 10
+
+
+class TestSchema:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_empty_file_is_the_preset(self, scenario):
+        parsed = dataclasses.replace(parse_config_dict({}, scenario), raw={})
+        assert parsed == scenario_defaults(scenario)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("grid", "L", math.inf),
+            ("config", "R", math.inf),
+            ("config", "gamma0", math.nan),
+            ("perturbation", "amp", math.inf),
+            ("perturbation", "center", math.nan),
+            ("perturbation", "center", -math.inf),
+            ("time", "T", math.inf),
+            ("guards", "delta_min", math.inf),
+            ("guards", "energy_cap_factor", math.nan),
+            ("config", "R", 10**400),
+        ],
+    )
+    def test_numbers_must_be_finite(self, section, key, value):
+        e = err({"scenario": "square", section: {key: value}})
+        assert e.field == f"{section}.{key}"
+        assert "finite" in e.reason
+
+    @pytest.mark.parametrize("key", ["energy_cap_factor", "boundary_tol"])
+    def test_infinite_guard_level_turns_the_guard_off(self, key):
+        cfg = parse_config_dict({"scenario": "square", "guards": {key: math.inf}})
+        assert getattr(cfg, key) == math.inf
+        assert err({"scenario": "square", "guards": {key: -math.inf}}).field == f"guards.{key}"
+
+    def test_m_lower_bound_is_make_grids(self):
+        e = err({"scenario": "square", "grid": {"M": MIN_POINTS - 2}})
+        assert e.field == "grid.M" and str(MIN_POINTS) in e.reason
+        assert parse_config_dict({"scenario": "square", "grid": {"M": MIN_POINTS}}).M == MIN_POINTS
+
+    def test_null_only_where_the_default_is(self):
+        assert err({"scenario": "square", "config": {"R": None}}).field == "config.R"
+        assert err({"scenario": "square", "perturbation": {"path": 3}}).field == "perturbation.path"
+
+    def test_echo_reads_back_as_the_same_config(self):
+        echo = config_echo(scenario_defaults("collision"))
+        again = dataclasses.replace(parse_config_dict(echo), raw={})
+        assert again == scenario_defaults("collision")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert "invalid JSON" in info.value.reason

@@ -17,12 +17,14 @@ Covered here:
   * determinism: rerunning a config gives byte-identical outputs,
   * the traced memory peak of the helix preset,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
-    traveling-wave file-style --out,
+    traveling-wave file-style --out; flags are validated like file values,
+    and every bad number, flag or field file exits 2 naming its field,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,7 +36,7 @@ import pytest
 import vfsim
 from vfsim import filaments, runner
 from vfsim.cli import main
-from vfsim.config import ScenarioConfig, parse_config_dict, scenario_defaults
+from vfsim.config import SCHEMA, ScenarioConfig, parse_config_dict, scenario_defaults
 from vfsim.errors import ConfigError
 from vfsim.grid import make_grid, write_fields_csv
 from vfsim.runner import (
@@ -577,6 +579,97 @@ class TestCli:
             ["collision", "--config", str(path), "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "args,data,field",
+        [
+            (["square", "--seed", "-1"], None, "perturbation.seed"),
+            (["square"], {"time": {"T": math.inf}}, "time.T"),
+            (["point-vortex"], {"time": {"T": math.inf}}, "time.T"),
+            (["traveling-wave", "--M", "-4"], None, "grid.M"),
+            (["traveling-wave", "--M", "6"], None, "grid.M"),
+            (["traveling-wave", "--L", "-5"], None, "grid.L"),
+            (["square"], {"grid": {"M": 4}}, "grid.M"),
+            (["square"], {"grid": {"L": math.inf}}, "grid.L"),
+            (["square"], {"config": {"R": math.inf}}, "config.R"),
+            (["square"], {"perturbation": {"amp": math.inf}}, "perturbation.amp"),
+            (["square"], {"config": {"kind": "polygon_center", "gamma0": math.nan}},
+             "config.gamma0"),
+            (["reduced"], {"perturbation": {"center": math.nan}}, "perturbation.center"),
+        ],
+        ids=["seed-negative", "square-T-inf", "point-vortex-T-inf", "M-negative",
+             "M-below-8", "L-negative", "file-M-4", "L-inf", "R-inf", "amp-inf",
+             "gamma0-nan", "center-nan"],
+    )
+    def test_bad_input_exits_2_naming_its_field(self, tmp_path, capsys, args, data,
+                                                field):
+        argv = args + ["--out", str(tmp_path / "o")]
+        if data is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))  # as Infinity and NaN
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "", "not,a\nfield,file\n", "sigma,re_0,im_0\n"])
+    def test_bad_field_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "fields.csv"
+        if content is not None:
+            path.write_text(content)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"L": 10, "M": 64},
+            "time": {"T": 0.01, "dt": 1e-3},
+            "perturbation": {"kind": "file", "path": str(path)},
+        }))
+        code = main(["reduced", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "perturbation.path" in capsys.readouterr().err
+        assert load_status(tmp_path / "o")["status"] == "ConfigError"
+
+    def test_reduced_field_file_off_the_grid_exits_2(self, tmp_path, capsys):
+        # the right number of nodes, but on [-20, 20) instead of [-10, 10)
+        wide = make_grid(20.0, 64)
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, wide, [np.ones(64, dtype=complex)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"L": 10, "M": 64},
+            "time": {"T": 0.01, "dt": 1e-3},
+            "perturbation": {"kind": "file", "path": str(path)},
+        }))
+        code = main(["reduced", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "perturbation.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,field", [([1, 2], "top level"),
+                                               ({"grid": [1]}, "grid")])
+    def test_flag_on_a_malformed_file_exits_2(self, tmp_path, capsys, content, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        code = main(["traveling-wave", "--config", str(path), "--M", "1024",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    def test_wave_flags_override_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"config": {"c2": 1.8}, "grid": {"L": 100.0, "M": 4096}}
+        ))
+        code = main(["traveling-wave", "--config", str(path), "--c2", "1.9",
+                     "--L", "30", "--M", "1024", "--out", str(tmp_path / "p.csv")])
+        assert code == 0
+        echo = load_status(tmp_path)["config"]
+        assert echo["config"]["c2"] == 1.9
+        assert echo["grid"] == {"L": 30.0, "M": 1024}
+
+    def test_status_echo_has_the_schema_keys(self, tmp_path):
+        assert main(["stability", "--out", str(tmp_path)]) == 0
+        echo = load_status(tmp_path)["config"]
+        assert set(echo) == {"scenario", *SCHEMA}
+        for section, keys in SCHEMA.items():
+            assert set(echo[section]) == set(keys)
 
     def test_cold_start_imports_no_scipy(self, tmp_path):
         code = (

@@ -464,6 +464,14 @@ class TestResidual:
         with pytest.raises(error):
             residual_tw(make_field(grid, values, background=1.0), reference_params())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_wronskian_rejects_non_finite_inside(self, bad):
+        grid = make_grid(64.0, 512)
+        values = np.ones(grid.num_points, dtype=complex)
+        values[200] = bad
+        with pytest.raises(NumericalGuard):
+            wronskian(make_field(grid, values, background=1.0))
+
     def test_wronskian_rejects_nan_end(self):
         grid = make_grid(64.0, 512)
         values = np.ones(grid.num_points, dtype=complex)
