@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--L", type=float, dest="grid.L", metavar="L",
                            help="domain half-length")
             p.add_argument("--M", type=int, dest="grid.M", metavar="M",
-                           help="number of grid points (even, >= 8)")
+                           help="number of grid points (even, from 8 to 2**24)")
             p.add_argument("--sweep", metavar="c2=START:STOP:COUNT",
                            default=None,
                            help="sweep c2 instead of building one profile")

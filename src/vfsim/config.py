@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .grid import MIN_POINTS
+from .grid import MAX_POINTS, MIN_POINTS
 
 SCENARIOS = (
     "point_vortex",
@@ -110,12 +110,14 @@ def _path(value, where: str) -> str | None:
     return value
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     def parse(value, where: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(where, f"expected an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(where, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(where, f"must be <= {maximum}, got {value}")
         return value
     return parse
 
@@ -146,7 +148,7 @@ SCHEMA = {
     },
     "grid": {
         "L": ("L", _POSITIVE),
-        "M": ("M", _integer(MIN_POINTS)),
+        "M": ("M", _integer(MIN_POINTS, MAX_POINTS)),
     },
     "perturbation": {
         "kind": ("pert_kind", _choice(PERTURBATION_KINDS)),

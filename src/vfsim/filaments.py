@@ -55,6 +55,7 @@ from .grid import (
     DEFAULT_BOUNDARY_TOL,
     ComplexField,
     Grid1D,
+    _rk4,
     _split_steps,
     _step_plan,
     derivative,
@@ -287,31 +288,22 @@ def _pair_kernel(
     separation threshold and NumericalGuard on a NaN separation.  Only the
     distinct pair rows of ``pair_rows`` are evaluated, each once; a row
     enters a sum with its sign (term_kj = -term_jk, exact under negation).
-    Without a symmetry every filament's sum runs over k in ascending order:
-    at a symmetric collapse several pairs tie up to roundoff, and this
-    order decides which of them trips the detector.  With a symmetry the
-    representatives' sums are one product of the rows with the (R, P)
-    matrix of the signed circulations each row enters with.
+    Every representative's sum runs over k in ascending order: at a
+    symmetric collapse several pairs tie up to roundoff, and this order
+    decides which of them trips the detector.
     """
     pairs, gather, weights, coeffs = pair_rows(cfg, orbits)
     j, k = pairs
     n, m = cfg.count, nodes.size
     term = np.empty((j.size, m), dtype=np.complex128)
     dist = np.empty((j.size, m))
-    if orbits.trivial:
-        # the rows are all pairs in row-major order, and the pairs
-        # (a, a+1..n-1) are rows[a]:rows[a+1]
-        rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
-        terms = np.empty(gather.shape + (m,), dtype=np.complex128)
-        # every row serves at least one term, and psi is dead once term is
-        # formed, so psi lives in the terms buffer
-        psi = terms.reshape(-1, m)[:j.size]
-    else:
-        # matrix[r, p] sums the signed Gamma_k of the terms of
-        # representative r that are row p
-        matrix = np.zeros((orbits.reps.size, j.size), dtype=np.complex128)
-        np.add.at(matrix, (np.arange(orbits.reps.size)[:, None], gather), weights[..., 0])
-        psi = np.empty((j.size, m), dtype=np.complex128)
+    terms = np.empty(gather.shape + (m,), dtype=np.complex128)
+    # every row serves at least one term, and psi is dead once term is
+    # formed, so psi lives in the terms buffer
+    psi = terms.reshape(-1, m)[:j.size]
+    # without a symmetry the rows are all pairs in row-major order, and the
+    # pairs (a, a+1..n-1) are rows[a]:rows[a+1]
+    rows = [a * (2 * n - 1 - a) // 2 for a in range(n + 1)]
 
     def rhs(rep_vals, xs, time, out):
         if orbits.trivial:
@@ -328,8 +320,6 @@ def _pair_kernel(
         np.conjugate(psi, out=term)
         np.divide(1.0, term, out=term)
         np.subtract(term, (1.0 / np.conj(xd))[:, None], out=term)
-        if not orbits.trivial:
-            return np.matmul(matrix, term, out=out)
         # +-Gamma_k term_rk for each representative r and k != r (the
         # indices are in range; mode "raise" would buffer the output), then
         # the sum over ascending k: a reduction over an axis that is not
@@ -615,11 +605,10 @@ def evolve_samples(
     guards the separation of a block's midpoints at once, halting at the
     step a step-by-step check would.  Every separation there is
     |X_jk| |Phi|, so the guard checks only the pair rows nearest on the
-    backbone, which hold the first minimum.  The kernel's buffers, the
-    stage input and k1..k4 are allocated once per run and written through
-    ``out=`` in the order of v + (h/2) k and v + (h/6)(((k1 + 2 k2) + 2 k3)
-    + k4), so a run sampled at every step is bit for bit that of fresh
-    temporaries.
+    backbone, which hold the first minimum.  The kernel's buffers and the
+    RK4 stages (``grid._rk4``) are allocated once per run and written
+    through ``out=``, so a run sampled at every step is bit for bit that of
+    fresh temporaries.
 
     Samples fall at t = 0, every ``sample_every`` steps, at the final time
     and at the halt; a caller that keeps only what it needs of each holds
@@ -674,26 +663,12 @@ def evolve_samples(
         flow = dict(guard=guard, guard_rows=guard_rows)
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
-        stage, k1, k2, k3, k4 = (np.empty_like(u_vals) for _ in range(5))
 
         def rate(vals: np.ndarray, t: float, out: np.ndarray) -> None:
             xs = np.exp(1j * omega * t) * x0
             np.multiply(1j, rhs(vals, xs, t, out), out=out)
 
-        def advance(v: np.ndarray, k: np.ndarray, step: float) -> np.ndarray:
-            return np.add(v, np.multiply(step, k, out=stage), out=stage)
-
-        def substep(v: np.ndarray, t: float) -> None:
-            rate(v, t, k1)
-            rate(advance(v, k1, 0.5 * h), t + 0.5 * h, k2)
-            rate(advance(v, k2, 0.5 * h), t + 0.5 * h, k3)
-            rate(advance(v, k3, h), t + h, k4)
-            np.add(k1, np.multiply(2.0, k2, out=stage), out=stage)
-            np.add(stage, np.multiply(2.0, k3, out=k3), out=stage)
-            np.add(stage, k4, out=stage)
-            np.add(v, np.multiply(h / 6.0, stage, out=stage), out=v)
-
-        flow = dict(substep=substep)
+        flow = dict(substep=_rk4(rate, u_vals, h))
 
     dispersion = -1j * np.outer(cfg.circulations[orbits.reps], grid.wavenumbers**2)
     last = state.time

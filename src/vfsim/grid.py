@@ -20,6 +20,9 @@ from .errors import BoundaryContaminated, InvalidGrid, VfsimError
 #: Fewest grid points make_grid accepts (the count must also be even).
 MIN_POINTS = 8
 
+#: Most grid points make_grid accepts, far above the 65,536 of the wave runs.
+MAX_POINTS = 2**24
+
 #: Default tolerance for the "field is flat at the domain ends" guard.
 DEFAULT_BOUNDARY_TOL = 1e-10
 
@@ -53,8 +56,10 @@ def make_grid(half_length: float, num_points: int) -> Grid1D:
     """
     if half_length <= 0:
         raise InvalidGrid(f"half_length must be positive, got {half_length}")
-    if num_points % 2 != 0 or num_points < MIN_POINTS:
-        raise InvalidGrid(f"num_points must be even and >= {MIN_POINTS}, got {num_points}")
+    if num_points % 2 != 0 or not MIN_POINTS <= num_points <= MAX_POINTS:
+        raise InvalidGrid(
+            f"num_points must be even and in [{MIN_POINTS}, {MAX_POINTS}], got {num_points}"
+        )
     h = 2.0 * half_length / num_points
     nodes = -half_length + h * np.arange(num_points)
     wavenumbers = 2.0 * np.pi * np.fft.fftfreq(num_points, d=h)
@@ -116,6 +121,36 @@ def _step_plan(T: float, dt: float, sample_every: int) -> tuple[int, float]:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = max(int(round(T / dt)), 0)
     return n_steps, T / n_steps if n_steps else 0.0
+
+
+def _rk4(rate, like: np.ndarray, h: float):
+    """One classical RK4 step of v' = rate(v, t), with its buffers allocated once.
+
+    rate(v, t, out) writes the rate at (v, t) into ``out``.  The returned
+    step(v, t) advances v in place from t to t + h, through stage inputs
+    v + (h/2) k and v + h k and the update v + (h/6)(((k1 + 2 k2) + 2 k3) +
+    k4), each written through ``out=``, so a step is bit for bit that of
+    fresh temporaries.  The stage and k1..k4 are shaped like ``like``.
+    """
+    stage, k1, k2, k3, k4 = (np.empty_like(like) for _ in range(5))
+    # the factors as 0-d arrays of the rows' dtype, the cast numpy applies to
+    # a Python float on every call
+    half, whole, two, sixth = (np.array(c, like.dtype) for c in (0.5 * h, h, 2.0, h / 6.0))
+
+    def advance(v: np.ndarray, k: np.ndarray, step: np.ndarray) -> np.ndarray:
+        return np.add(v, np.multiply(step, k, out=stage), out=stage)
+
+    def step(v: np.ndarray, t: float) -> None:
+        rate(v, t, k1)
+        rate(advance(v, k1, half), t + 0.5 * h, k2)
+        rate(advance(v, k2, half), t + 0.5 * h, k3)
+        rate(advance(v, k3, whole), t + h, k4)
+        np.add(k1, np.multiply(two, k2, out=stage), out=stage)
+        np.add(stage, np.multiply(two, k3, out=k3), out=stage)
+        np.add(stage, k4, out=stage)
+        np.add(v, np.multiply(sixth, stage, out=stage), out=v)
+
+    return step
 
 
 def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,

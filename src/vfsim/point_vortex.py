@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidPolygon, NearCollision, NumericalGuard
-from .grid import write_csv
+from .grid import _rk4, _step_plan, write_csv
 
 DELTA_MIN = 1e-8  # coincidence guard for the singular interaction kernel
 
@@ -118,13 +118,15 @@ def _pair_velocity(
     pairs: tuple[np.ndarray, np.ndarray],
     vmat: np.ndarray,
     delta_min: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Velocities from the pair terms; vmat comes from _velocity_matrix."""
+    """Velocities from the pair terms, written into ``out`` if given; vmat
+    comes from _velocity_matrix."""
     diff = positions[pairs[0]] - positions[pairs[1]]
     sq = diff.real**2 + diff.imag**2
     if sq.size and sq.min() < delta_min**2:
         raise NearCollision(float(np.sqrt(sq.min())))
-    return vmat @ (diff / sq)
+    return np.matmul(vmat, diff / sq, out=out)
 
 
 def rhs(
@@ -219,41 +221,36 @@ def integrate(
     dt: float,
     delta_min: float = DELTA_MIN,
 ) -> VortexTrajectory:
-    """Classical fixed-step RK4 on the point-vortex equations.
+    """Classical fixed-step RK4 (``grid._rk4``) on the point-vortex equations.
 
     The step is capped at d^2/10 (d = initial minimal separation) because the
     velocity varies on the scale of the separation; NearCollision is raised
-    with the offending time if vortices approach within delta_min.
+    with the offending time if vortices approach within delta_min, and
+    ValueError for dt <= 0.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps, h = _step_plan(T, dt, 1)
     d = min_separation(cfg)
     if dt > d**2 / 10.0:
         raise NumericalGuard(
             f"dt={dt:.3e} exceeds the stability guard d^2/10 = {d**2 / 10.0:.3e}"
         )
     g = cfg.circulations
-    n_steps = max(int(round(T / dt)), 0)
-    h = T / n_steps if n_steps else 0.0
     pairs = pair_indices(cfg.count)
     vmat = _velocity_matrix(g, pairs)
 
-    def velocity(x: np.ndarray) -> np.ndarray:
-        return _pair_velocity(x, pairs, vmat, delta_min)
+    def velocity(x: np.ndarray, _t: float, out: np.ndarray) -> None:
+        _pair_velocity(x, pairs, vmat, delta_min, out)
 
     times = h * np.arange(n_steps + 1)
     path = np.empty((n_steps + 1, cfg.count), dtype=complex)
     x = cfg.positions.astype(complex)
     path[0] = x
+    step = _rk4(velocity, x, h)
     for n in range(n_steps):
         try:
-            k1 = velocity(x)
-            k2 = velocity(x + 0.5 * h * k1)
-            k3 = velocity(x + 0.5 * h * k2)
-            k4 = velocity(x + h * k3)
+            step(x, n * h)
         except NearCollision as exc:
             raise NearCollision(exc.distance, time=n * h) from None
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         path[n + 1] = x
 
     series = dict(zip(_INVARIANT_KEYS, _invariant_series(path, g)))

@@ -150,8 +150,8 @@ def b_of(eta, params: WaveParams):
 def _b_scalar(eta: float, params: WaveParams) -> float:
     """b_of at one float in [0, 1), with b_of's operations in b_of's order.
 
-    The shot calls b once per stage; on a float this skips the 0-d array
-    overhead of b_of, which was half the shot's time.
+    The shot's stages and find_sigma1's bisection call b on floats; this
+    skips the 0-d array overhead of b_of, which was half the shot's time.
     """
     om = params.omega
     sq = eta * eta
@@ -181,7 +181,7 @@ def find_sigma1(params: WaveParams) -> float:
     mid = 0.5 * s0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        bm = b_of(mid, params)
+        bm = _b_scalar(mid, params)
         if abs(bm) < ROOT_TOL:
             return mid
         if bm > 0.0:
@@ -190,9 +190,9 @@ def find_sigma1(params: WaveParams) -> float:
             hi = mid
         if hi - lo < 1e-17:
             break
-    if abs(b_of(mid, params)) < 10.0 * ROOT_TOL:
+    if abs(bm) < 10.0 * ROOT_TOL:
         return mid
-    raise NoRoot(f"bisection stalled at {mid:.17g} with b = {b_of(mid, params):.3g}")
+    raise NoRoot(f"bisection stalled at {mid:.17g} with b = {bm:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,8 @@ def find_sigma1(params: WaveParams) -> float:
 # matrix (Math. Comp. 46, 1986).  The step control is the RK45 rule of
 # Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4): RMS error norm,
 # safety 0.9, step factors in [0.2, 10].  Constants and operation order follow
-# scipy's RK45 line for line, so a shot reproduces solve_ivp bit for bit.
+# scipy's RK45 line for line, so a shot takes solve_ivp's steps bit for bit; its
+# dense output adds the four terms in order, not through np.dot as scipy does.
 _DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
 _DP_A = np.array([
     [0, 0, 0, 0, 0],
@@ -254,31 +255,21 @@ class _Shot:
         self.ok = True
         self.t, self.y = t0, y0
 
-    def _piece(self, i: int, t):
-        t_old, h, y_old, q = self.pieces[i]
-        x = (t - t_old) / h
-        powers = np.cumprod(np.tile(x, (4, 1)) if np.ndim(x) else np.tile(x, 4), axis=0)
-        y = h * np.dot(q, powers)
-        return y + (y_old[:, None] if y.ndim == 2 else y_old)
-
     def __call__(self, t):
         """The solution at t, shape (n,) for a scalar and (n, len(t)) for an array.
 
-        Nodes are sorted and each run of nodes sharing a step is evaluated in
-        one call; a node on an edge belongs to the earlier step.
+        Each node is evaluated on its own step's piece, all nodes at once; a
+        node on an edge belongs to the earlier step.
         """
-        edges = np.asarray(self.edges)
-        last = len(self.pieces) - 1
-        if np.ndim(t) == 0:
-            return self._piece(min(max(int(np.searchsorted(edges, t)) - 1, 0), last), t)
-        order = np.argsort(t)
-        t_sorted = t[order]
-        steps = np.clip(np.searchsorted(edges, t_sorted) - 1, 0, last)
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(steps)) + 1, [t.size]))
-        out = np.empty((self.y.size, t.size))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out[:, order[lo:hi]] = self._piece(steps[lo], t_sorted[lo:hi])
-        return out
+        step = np.clip(np.searchsorted(self.edges, t) - 1, 0, len(self.pieces) - 1)
+        t_old, h, y_old, q = (np.array(part)[step] for part in zip(*self.pieces))
+        x = ((t - t_old) / h)[..., None]
+        power = x
+        y = q[..., 0] * power
+        for i in range(1, 4):
+            power = power * x
+            y += q[..., i] * power
+        return (h[..., None] * y + y_old).T
 
 
 def _brent_root(func, xpre: float, xcur: float) -> float:
@@ -388,9 +379,8 @@ def _dormand_prince(fun, t0: float, y0, t_bound: float, rtol: float, atol: float
         if event is not None:
             g_new = event(t, y)
             if g >= 0 and g_new <= 0:
-                last = len(shot.pieces) - 1
                 shot.t_event = _brent_root(
-                    lambda s: event(s, shot._piece(last, s)), shot.pieces[-1][0], t
+                    lambda s: event(s, shot(s)), shot.pieces[-1][0], t
                 )
                 shot.edges.append(shot.t_event)
                 return shot

@@ -32,7 +32,7 @@ from vfsim.config import (
     scenario_defaults,
 )
 from vfsim.errors import ConfigError
-from vfsim.grid import MIN_POINTS
+from vfsim.grid import MAX_POINTS, MIN_POINTS
 
 
 def err(data, scenario=None) -> ConfigError:
@@ -285,6 +285,11 @@ class TestSchema:
         e = err({"scenario": "square", "grid": {"M": MIN_POINTS - 2}})
         assert e.field == "grid.M" and str(MIN_POINTS) in e.reason
         assert parse_config_dict({"scenario": "square", "grid": {"M": MIN_POINTS}}).M == MIN_POINTS
+
+    def test_m_upper_bound_is_make_grids(self):
+        e = err({"scenario": "square", "grid": {"M": 2**40}})
+        assert e.field == "grid.M" and str(MAX_POINTS) in e.reason
+        assert parse_config_dict({"scenario": "square", "grid": {"M": MAX_POINTS}}).M == MAX_POINTS
 
     def test_null_only_where_the_default_is(self):
         assert err({"scenario": "square", "config": {"R": None}}).field == "config.R"

@@ -199,16 +199,35 @@ class TestInteractionRhs:
             dilation_state(SQUARE, phi)
 
 
-def naive_rhs(state):
+def naive_rhs(state, orbits=None):
     """The interaction as an ordered double loop, and each row's sum of |terms|.
 
     Row j accumulates acc = acc + Gamma_k (1/conj(X_jk + (u_j - u_k))
-    - 1/conj(X_jk)) for k ascending, every operation on arrays.
+    - 1/conj(X_jk)) for k ascending, every operation on arrays.  With a
+    symmetry's ``orbits`` the rows are the representatives' and the pair
+    differences are the shared rows p of ``pair_rows``, psi_p = X_p + the
+    combination ``coeffs`` of the representatives' fields: representative
+    i accumulates acc = acc + w (1/conj(psi_p) - 1/conj(X_p)) for the row p
+    and signed weight w = +-Gamma_k of each k != r, k ascending.
     """
     xs = backbone(state)
     g = state.cfg.circulations
     u = [f.values for f in state.u]
     rows, sizes = [], []
+    if orbits is not None:
+        (j, k), gather, weights, coeffs = pair_rows(state.cfg, orbits)
+        xp = xs[j] - xs[k]
+        psi = xp[:, None] + coeffs @ np.array(u)[orbits.reps]
+        for row_ids, row_weights in zip(gather, weights[..., 0]):
+            acc = np.zeros_like(u[0])
+            size = np.zeros(u[0].shape)
+            for p, w in zip(row_ids, row_weights):
+                term = w * (1.0 / np.conj(psi[p]) - 1.0 / np.conj(xp[p:p + 1]))
+                acc = acc + term
+                size += np.abs(term)
+            rows.append(acc)
+            sizes.append(size)
+        return np.array(rows), np.array(sizes)
     for j in range(state.count):
         acc = np.zeros_like(u[j])
         size = np.zeros(u[j].shape)
@@ -1062,6 +1081,43 @@ class TestSymmetryTag:
         assert plain_end.symmetry is None
         assert max_gap(tagged_end, plain_end) <= 1e-13
         assert_on_orbit(tagged_end)
+
+
+def tagged_kernel_sums(state):
+    """The representatives' sums as the tagged pair kernel forms them."""
+    orbits = Orbits(state.symmetry, state.count)
+    rhs = vfsim.filaments._pair_kernel(state.cfg, 0.0, state.grid.nodes, orbits)
+    u = np.array([f.values for f in state.u])[orbits.reps]
+    return rhs(u, backbone(state), state.time, np.empty_like(u)), orbits
+
+
+class TestTaggedKernel:
+    """The tagged kernel sums like the untagged one: ascending k, in order."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            parallelogram_state(GRID),
+            dilation_state(
+                polygon_config(4, 1.0, 1.0, center_circulation=0.5),
+                make_field(GRID, 1.0 + (0.1 + 0.05j) * np.exp(-GRID.nodes**2), background=1.0),
+                time=0.3,
+            ),
+        ],
+        ids=["point-reflection", "C4+center"],
+    )
+    def test_bitwise_equal_to_ordered_loop(self, state):
+        got, orbits = tagged_kernel_sums(state)
+        assert not orbits.trivial
+        expected, sizes = naive_rhs(state, orbits)
+        assert np.max(sizes) > 0.0
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(polygon_orbit_states())
+    def test_every_orbit_bitwise_equal_to_ordered_loop(self, state):
+        got, orbits = tagged_kernel_sums(state)
+        assert np.array_equal(got, naive_rhs(state, orbits)[0])
 
 
 # ---------------------------------------------------------------------------

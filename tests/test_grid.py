@@ -8,11 +8,14 @@ i u_t + gamma u_ss = 0 with u(0) = -exp(-sigma^2),
 (principal branch; Re(1 + 4i*gamma*t) > 0 so the root is unambiguous).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vfsim.errors import InvalidGrid
 from vfsim.grid import (
+    MAX_POINTS,
     ComplexField,
     boundary_deviation,
     constant_field,
@@ -75,6 +78,16 @@ class TestMakeGrid:
     def test_rejects_bad_parameters(self, L, M):
         with pytest.raises(InvalidGrid):
             make_grid(L, M)
+
+    def test_rejects_too_many_points_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidGrid, match=str(MAX_POINTS)):
+                make_grid(1.0, 2**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_equality_by_defining_parameters(self):
         """Grids built separately compare by (half_length, num_points)."""

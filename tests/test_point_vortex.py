@@ -170,6 +170,39 @@ class TestIntegrate:
         assert excinfo.value.distance < 0.8
 
 
+def plain_rk4(cfg, T, steps):
+    """RK4 as plain expressions with fresh temporaries, one row per step."""
+    dt = T / steps
+    x = cfg.positions.astype(complex)
+    path = [x]
+    for _ in range(steps):
+        k1 = rhs(x, cfg.circulations)
+        k2 = rhs(x + 0.5 * dt * k1, cfg.circulations)
+        k3 = rhs(x + 0.5 * dt * k2, cfg.circulations)
+        k4 = rhs(x + dt * k3, cfg.circulations)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path.append(x)
+    return np.array(path)
+
+
+class TestSharedStepper:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            polygon_config(4, 1.0, 1.0),
+            VortexConfig(
+                positions=np.array([0.9 + 0.1j, -0.4 + 0.8j, -0.7 - 0.5j, 0.3 - 0.9j, 0.05j]),
+                circulations=np.array([1.0, -0.6, 0.8, -1.3, 0.5]),
+            ),
+        ],
+        ids=["square", "mixed-sign-5"],
+    )
+    def test_bitwise_equal_to_fresh_temporaries(self, cfg):
+        traj = integrate(cfg, 0.2, 1e-3)
+        assert traj.positions.shape == (201, cfg.count)
+        assert np.array_equal(traj.positions, plain_rk4(cfg, 0.2, 200))
+
+
 class TestTrajectoryCsv:
     def test_header_and_shape(self, tmp_path):
         cfg = generic_triple()

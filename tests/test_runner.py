@@ -611,6 +611,12 @@ class TestCli:
         assert main(argv) == 2
         assert field in capsys.readouterr().err
 
+    def test_grid_too_large_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"M": 2**40}}))
+        assert main(["square", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "grid.M" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [None, "", "not,a\nfield,file\n", "sigma,re_0,im_0\n"])
     def test_bad_field_file_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "fields.csv"

@@ -49,7 +49,7 @@ from vfsim.traveling_wave import (
     sweep_waves,
     wronskian,
 )
-from vfsim.traveling_wave import _detwist
+from vfsim.traveling_wave import _detwist, _Shot
 
 # The reference wave used throughout: omega = 1, c^2 = 1.9.
 OMEGA = 1.0
@@ -320,6 +320,30 @@ class TestShooter:
         shot = _dormand_prince(lambda _s, y: y**2, 0.0, (1.0,), 2.0, 1e-12, 1e-14)
         assert not shot.ok
         assert 0.99 < shot.t < 1.0 and shot.y[0] > 100.0
+
+    def test_array_nodes_equal_scalar_nodes(self):
+        shot = _dormand_prince(oscillator, 0.0, (1.0, 0.0), 10.0, 1e-12, 1e-14)
+        rng = np.random.default_rng(3)
+        # unsorted nodes, every edge, and nodes beyond both ends
+        nodes = np.concatenate([rng.uniform(-0.5, 10.5, 300), shot.edges])
+        rng.shuffle(nodes)
+        y = shot(nodes)
+        assert y.shape == (2, nodes.size)
+        for i, s in enumerate(nodes):
+            assert np.array_equal(y[:, i], shot(float(s)))
+
+    def test_edge_node_takes_the_earlier_piece(self):
+        """Two hand-made pieces that disagree at their shared edge s = 1."""
+        shot = _Shot(0.0, np.array([0.0]))
+        shot.pieces = [
+            (0.0, 1.0, np.array([0.0]), np.array([[1.0, 0.0, 0.0, 0.0]])),  # y = s
+            (1.0, 2.0, np.array([5.0]), np.array([[0.0, 1.0, 0.0, 0.0]])),  # 5 + 2 x^2
+        ]
+        shot.edges = [0.0, 1.0, 3.0]
+        nodes = np.array([1.0, 0.0, 0.5, 3.0, 2.0, -1.0, 5.0])
+        expected = [1.0, 0.0, 0.5, 7.0, 5.5, -1.0, 13.0]
+        assert np.array_equal(shot(nodes)[0], expected)
+        assert [float(shot(s)[0]) for s in nodes] == expected
 
     def test_scalar_b_is_b_of(self):
         params = reference_params()
