@@ -129,8 +129,8 @@ def filament_state(
     """Validate and assemble a FilamentState.
 
     Checks the field count against the configuration, a common grid,
-    background 0, and the no-coincidence invariant min |Psi_jk| > 0: a zero
-    minimum raises CollisionDetected, a NaN one NumericalGuard.  A
+    background 0, finite nodes (NumericalGuard naming the field), and the
+    no-coincidence invariant min |Psi_jk| > 0 (CollisionDetected).  A
     ``symmetry`` must map the positions and the circulations onto
     themselves, and the fields onto their orbit to SYMMETRY_TOL relative,
     or ConfigError is raised; the state then holds the fields expanded
@@ -148,6 +148,11 @@ def filament_state(
             raise ConfigError(
                 "u", f"field {j} has background {f.background!r}, expected 0"
             )
+        if not np.isfinite(f.values).all():
+            kind = "NaN" if np.isnan(f.values).any() else "infinite"
+            raise NumericalGuard(
+                f"{kind} filament separation at t={time:.6g}: field {j} is not finite"
+            )
     if symmetry is not None:
         reason = backbone_mismatch(symmetry, cfg)
         if reason is not None:
@@ -155,14 +160,11 @@ def filament_state(
         vals = np.stack([f.values for f in u])
         orbits = Orbits(symmetry, cfg.count)
         exact = orbits.expand(vals[orbits.reps])
-        # NaN data fails no comparison here; the separation check guards it
         if np.max(np.abs(exact - vals)) > SYMMETRY_TOL * np.max(np.abs(vals)):
             raise ConfigError("u", f"the fields are off the {symmetry.name} orbit")
         u = [make_field(grid, row) for row in exact]
     state = FilamentState(u=tuple(u), cfg=cfg, time=float(time), symmetry=symmetry)
     sep, sigma, pair = min_separation_field(state)
-    if math.isnan(sep):
-        raise NumericalGuard(f"NaN filament separation at t={time:.6g}")
     if sep <= 0.0:
         raise CollisionDetected(time, sigma, pair)
     return state
@@ -180,14 +182,17 @@ def dilation_state(
 ) -> FilamentState:
     """Dilation data u_j = X_j(t) (phi - 1), the shared-profile ansatz.
 
-    Requires a profile with background 1 so the perturbations decay.  On a
-    regular polygon with equal outer circulations the state carries the
-    C_N tag of ``rotation_symmetry``.
+    Requires a profile with background 1 so the perturbations decay, and
+    finite nodes (NumericalGuard otherwise).  On a regular polygon with
+    equal outer circulations the state carries the C_N tag of
+    ``rotation_symmetry``.
     """
     if phi.background != 1.0:
         raise ConfigError(
             "phi", f"dilation profile needs background 1, got {phi.background!r}"
         )
+    if not np.isfinite(phi.values).all():
+        raise NumericalGuard(f"the dilation profile phi is not finite at t={time:.6g}")
     omega = cfg.omega if cfg.omega is not None else 0.0
     xs = np.exp(1j * omega * time) * cfg.positions
     dev = phi.values - 1.0
@@ -605,7 +610,23 @@ def evolve_samples(
     guards the separation of a block's midpoints at once, halting at the
     step a step-by-step check would.  Every separation there is
     |X_jk| |Phi|, so the guard checks only the pair rows nearest on the
-    backbone, which hold the first minimum.  The kernel's buffers and the
+    backbone, which hold the first minimum.  The free flow keeps |fft(u_r)|,
+    so a guarded row psi_jk = X_jk(t) + c_jk v moves at most at rate =
+    max|c_jk| speed + |omega| max|X_jk|, speed = |Gamma_r| sum_xi xi^2
+    |fft(u_r)(xi)| / M, set once per run.  After each guard call no step
+    that starts before the horizon t_1 + (min|psi(t_1)| - threshold -
+    slack) / rate, t_1 the last step checked, can reach the threshold, so
+    the loop neither transforms nor guards it, and the run halts where a
+    guard on every step would.  The slack, (1e-8 + 8 eps n sqrt(M) log2 M)
+    (max|X_jk| + max|c_jk| ||fft(u_r)||_1 / M) for n steps, bounds the
+    roundoff of a computed |psi|: a few eps of |X_jk| + |c_jk| |v| for the
+    sum, with |v| <= ||fft(u_r)||_1 / M; at most 5 eps of each mode per
+    product with L(h); and per transform O(eps log2 M) in norm, at most
+    eps sqrt(M) log2 M of ||fft(u_r)||_1 / M at a node.  The 1e-8 covers
+    the sum and the last transform for M <= grid.MAX_POINTS, and the
+    second term one product and two transforms per step.  A margin, rate
+    or slack that is not finite sets the horizon to -inf: every step is
+    checked.  The kernel's buffers and the
     RK4 stages (``grid._rk4``) are allocated once per run and written
     through ``out=``, so a run sampled at every step is bit for bit that of
     fresh temporaries.
@@ -647,20 +668,36 @@ def evolve_samples(
         pairs, coeffs = (pairs[0][near], pairs[1][near]), coeffs[near]
         j, k = pairs
         psi = dist = None
+        # the speed bound and the roundoff slack of the horizon (see above)
+        m = grid.num_points
+        spectrum = np.abs(np.fft.fft(u_vals, axis=1))
+        gap, reach = float(gaps[near].max()), float(np.abs(coeffs).max())
+        speed = abs(float(cfg.circulations[orbits.reps[0]])) * float(
+            np.sum(grid.wavenumbers**2 * spectrum)) / m
+        rate = reach * speed + abs(omega) * gap
+        drift = 8.0 * math.ulp(1.0) * n_steps * math.sqrt(m) * math.log2(m)
+        slack = (1e-8 + drift) * (gap + reach * float(spectrum.sum()) / m)
+        safe = -math.inf  # no step before this time can reach the threshold
 
         def guard(v: np.ndarray, times: list[float]):
             # the free flow: N is the identity, so only guard the midpoints
-            nonlocal psi, dist
+            nonlocal psi, dist, safe
             b = len(times)
             if psi is None or psi.shape[0] < b:
-                psi = np.empty((b, j.size, grid.num_points), dtype=np.complex128)
+                psi = np.empty((b, j.size, m), dtype=np.complex128)
                 dist = np.empty(psi.shape)
             xs = np.exp(1j * omega * np.array(times))[:, None] * x0
             np.multiply(coeffs, v, out=psi[:b])
             np.add((xs[:, j] - xs[:, k])[:, :, None], psi[:b], out=psi[:b])
-            return _separation_halt(psi[:b], dist[:b], threshold, times, grid.nodes, pairs)
+            halt = _separation_halt(psi[:b], dist[:b], threshold, times, grid.nodes, pairs)
+            safe = -math.inf
+            if halt is None and math.isfinite(rate):
+                margin = float(dist[b - 1].min()) - threshold - slack
+                if 0.0 < margin < math.inf:
+                    safe = times[-1] + margin / rate if rate > 0.0 else math.inf
+            return halt
 
-        flow = dict(guard=guard, guard_rows=guard_rows)
+        flow = dict(guard=guard, guard_rows=guard_rows, horizon=lambda: safe)
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
 

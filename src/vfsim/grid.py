@@ -10,6 +10,7 @@ so the FFT only ever sees a field that decays at the boundary.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import starmap
 
@@ -155,7 +156,8 @@ def _rk4(rate, like: np.ndarray, h: float):
 
 def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
                  t0: float, n_steps: int, h: float, sample_every: int,
-                 boundary_tol: float, substep=None, guard=None, guard_rows: int = 0):
+                 boundary_tol: float, substep=None, guard=None, guard_rows: int = 0,
+                 horizon=None):
     """Strang steps L(h/2) N(h) L(h/2) of zero-background rows on ``grid``.
 
     L(t) is the exact Fourier propagator exp(dispersion * t), with one row
@@ -176,7 +178,12 @@ def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
     midpoints, v a (b, rows, M) array from one batched ifft and times the
     steps' start times, and returns (i, error) for the first step i that
     fails, or None; ``guard_rows`` is the number of rows the block is
-    sized for.  Without a guard no midpoint is transformed.
+    sized for.  Without a guard no midpoint is transformed.  horizon(), if
+    given, is read before each block: a time before which the caller has
+    proved every step safe.  Only the steps of the block that
+    start at or after it are transformed and guarded, still in one batched
+    ifft, so v then holds those steps alone and i counts from the first of
+    them; a NaN or -inf horizon clears no step.
 
     Yields (t, rows, None) every ``sample_every`` steps and after the last
     one, rows = ifft(m L(h/2)) at time t.  The next step opens from the
@@ -216,17 +223,22 @@ def _split_steps(grid: Grid1D, rows: np.ndarray, dispersion: np.ndarray,
             np.multiply(opened[i - 1], full, out=opened[i])
         times = [t0 + step * h for step in range(n, n + b)]
         failed = None
-        if mids is not None:
+        if substep is not None:
             v = np.fft.ifft(opened[:b], axis=-1, out=mids[:b])
-            if substep is None:
-                failed = guard(v, times)
+            try:
+                substep(v[0], times[0])
+            except VfsimError as exc:
+                failed = 0, exc
             else:
-                try:
-                    substep(v[0], times[0])
-                except VfsimError as exc:
-                    failed = 0, exc
-                else:
-                    np.fft.fft(v[0], axis=1, out=opened[0])
+                np.fft.fft(v[0], axis=1, out=opened[0])
+        elif guard is not None:
+            # the first step the horizon does not clear (0 for a NaN horizon)
+            s = 0 if horizon is None else bisect_left(times, horizon())
+            if s < b:
+                v = np.fft.ifft(opened[s:b], axis=-1, out=mids[:b - s])
+                failed = guard(v, times[s:])
+                if failed is not None:
+                    failed = s + failed[0], failed[1]
         dev = np.abs(np.matmul(ends, opened[:b, :, :, None], out=nodes[:b]))
         over = np.flatnonzero(dev.max(axis=(1, 2, 3)) > boundary_tol)
         if failed is not None and (not over.size or failed[0] <= over[0]):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from vfsim import grid
+from vfsim import filaments, grid
 
 
 @pytest.fixture
@@ -25,3 +25,18 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def guarded_shapes(monkeypatch):
+    """A list that grows by the shape of psi, (steps, rows, M), at every call
+    of ``filaments._separation_halt``, the free-flow guard's check."""
+    shapes = []
+    exact = filaments._separation_halt
+
+    def counted(psi, *args):
+        shapes.append(psi.shape)
+        return exact(psi, *args)
+
+    monkeypatch.setattr(filaments, "_separation_halt", counted)
+    return shapes

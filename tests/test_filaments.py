@@ -47,10 +47,19 @@ Covered here:
     pair rows nearest on the backbone (1 of 4 on the collision data, 3 of
     6 on the centred hexagon) and the centred 7- and 8-gons, whose side
     pairs are the nearest, halt on the all-rows reference's pair,
+  * the certified free-flow guard: the centred 3-, 5- and 6-gon collision
+    data, a threshold whose closed-form crossing falls within a step of
+    the first horizon, and random stationary orbits with delta_min within
+    5 % of their initial separation halt bit for bit as the per-step
+    reference that guards every step, and an unperturbed orbit, whose
+    separations never move, is guarded once,
   * a property test: evolve commutes with a rotation of the backbone and
     the fields by exp(i theta), on generic and on free-flow data,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
-    (also under python -O) and in evolve(),
+    (also under python -O) and in evolve(), also for a state assembled
+    without filament_state; filament_state refuses a
+    non-finite node, tagged or not, and dilation_state a non-finite
+    profile, naming the field, without a RuntimeWarning,
   * the unordered pair layout of the snapshot quantities: energies(),
     max_pair_norm and the pair-norm growth constant agree with ordered
     double-loop references, a lone filament has min_sep = inf and
@@ -477,6 +486,42 @@ class TestStateValidation:
         rows[1][100] = np.nan
         with pytest.raises(NumericalGuard, match="NaN filament separation"):
             filament_state([make_field(grid, r) for r in rows], SQUARE)
+
+    @pytest.mark.parametrize(
+        "value,kind",
+        [
+            (np.nan, "NaN"),
+            (complex(np.inf, 0.0), "infinite"),
+            (complex(0.0, -np.inf), "infinite"),
+        ],
+    )
+    def test_non_finite_node_names_its_field(self, value, kind):
+        grid = make_grid(20.0, 256)
+        rows = [0.01 * np.exp(-((grid.nodes - c) ** 2)) + 0j for c in range(4)]
+        rows[1][100] = value
+        with pytest.raises(NumericalGuard, match=f"^{kind} filament separation.*field 1 "):
+            filament_state([make_field(grid, r) for r in rows], SQUARE)
+
+    @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
+    def test_non_finite_node_of_tagged_fields(self, value):
+        """Refused before the orbit expansion, without a RuntimeWarning."""
+        grid = make_grid(20.0, 256)
+        ga = 0.01 * np.exp(-(grid.nodes**2)) + 0j
+        gb = 0.01 * np.exp(-((grid.nodes - 1.0) ** 2)) + 0j
+        ga[100] = value
+        fields = [make_field(grid, v) for v in (ga, gb, -ga, -gb)]
+        with pytest.raises(NumericalGuard, match="field 0 "):
+            filament_state(fields, SQUARE, symmetry=point_reflection())
+
+    @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
+    def test_non_finite_dilation_profile(self, value):
+        """Refused before the product with the backbone, where the centre's
+        X_0 = 0 would meet the infinite node."""
+        vals = gaussian_profile(GRID).values.copy()
+        vals[10] = value
+        phi = make_field(GRID, vals, background=1.0)
+        with pytest.raises(NumericalGuard, match="profile phi is not finite"):
+            dilation_state(stationary_polygon(4), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,6 +1442,88 @@ class TestFreeFlowBlocks:
         assert seen and set(seen) == {rows}
 
 
+def read_horizons(monkeypatch):
+    """The horizon of the free flow as the loop reads it, once per block."""
+    seen = []
+    exact = vfsim.filaments._split_steps
+
+    def spy(*args, horizon=None, **kwargs):
+        def read():
+            seen.append(horizon())
+            return seen[-1]
+
+        return exact(*args, horizon=None if horizon is None else read, **kwargs)
+
+    monkeypatch.setattr(vfsim.filaments, "_split_steps", spy)
+    return seen
+
+
+class TestCertifiedGuard:
+    """The free flow guards only the steps that its speed bound cannot
+    clear, and still halts bit for bit as the per-step reference, which
+    guards every step."""
+
+    @pytest.mark.parametrize("n,pair", [(3, (0, 1)), (5, (0, 1)), (6, (1, 2))])
+    def test_centred_polygons_match_the_reference(self, n, pair, monkeypatch):
+        """The hexagon's side pairs tie with its centre pair, and (1, 2)
+        trips first, as in the reference."""
+        horizons = read_horizons(monkeypatch)
+        state = collision_initial_state(n, make_grid(20.0, 512))
+        result = assert_matches_reference(
+            state, 1.05, 2.5e-4, sample_every=1000, delta_min=0.02, boundary_tol=1e-6
+        )
+        assert result.status == "CollisionDetected" and result.halt_time == 0.99
+        assert result.collision_pair == pair and result.collision_sigma == 0.0
+        # the bound clears more than a thousand steps at once
+        assert max(horizons) > 1000 * 2.5e-4
+
+    def test_crossing_within_a_step_of_the_first_horizon(self, monkeypatch):
+        """delta_min puts the closed-form crossing of |Phi| 3/4 of a step
+        after the last midpoint of the first block: the first horizon falls
+        within that step, and the step after the block halts."""
+        horizons = read_horizons(monkeypatch)
+        grid, dt = make_grid(20.0, 512), 2.5e-4
+        state = collision_initial_state(4, grid)
+        (j, _), *_ = pair_rows(state.cfg, Orbits(state.symmetry, state.count))
+        block = _BLOCK_ELEMENTS // (j.size * grid.num_points)
+        # a step's midpoint is the flow at its start time plus dt/2
+        crossing = (block - 1 + 0.75) * dt
+        low = float(np.abs(analytic_collision_phi(crossing, grid.nodes)).min())
+        result = assert_matches_reference(
+            state, 1.05, dt, sample_every=1000,
+            delta_min=low / min_separation(state.cfg), boundary_tol=1e-6,
+        )
+        assert horizons[0] == -math.inf
+        assert (block - 1) * dt < horizons[1] and abs(horizons[1] - crossing) <= dt
+        assert result.status == "CollisionDetected" and result.halt_time == block * dt
+
+    def test_unperturbed_orbit_is_guarded_once(self, guarded_shapes):
+        """u = 0: the separations never move, and the first guard clears
+        every later step."""
+        grid = make_grid(20.0, 512)
+        phi = make_field(grid, np.ones(grid.num_points), background=1.0)
+        state = dilation_state(stationary_polygon(4), phi)
+        result = evolve(state, 0.1, 2.5e-4, sample_every=100, delta_min=0.02)
+        assert result.status == "Completed" and result.states[-1].time == 0.1
+        assert len(guarded_shapes) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        stationary_orbit_states(),
+        st.integers(1, 300),
+        st.integers(1, 150),
+        st.floats(0.95, 1.05),
+        st.sampled_from([1e-4, math.inf]),
+    )
+    def test_threshold_near_the_initial_separation(self, state, steps, every, factor, tol):
+        """delta_min within 5 % of the initial minimum separation."""
+        sep = min_separation_field(state)[0]
+        assert_matches_reference(
+            state, steps * 1e-2, 1e-2, sample_every=every,
+            delta_min=factor * sep / min_separation(state.cfg), boundary_tol=tol,
+        )
+
+
 # ---------------------------------------------------------------------------
 # the run's reused buffers never leak into what it returns
 # ---------------------------------------------------------------------------
@@ -1546,6 +1673,24 @@ class TestNonFiniteGuard:
     def test_evolve(self, value):
         with pytest.raises(NumericalGuard):
             evolve(poisoned_state(value), 0.01, 1e-3, energy_cap=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
+    def test_state_built_without_validation(self, value):
+        """filament_state refuses the node first, so the guards of
+        energies(), evolve() and the kernel are reached through a state
+        assembled directly."""
+        fields = poisoned_state(0.0).u
+        values = fields[2].values.copy()
+        values[100] = value
+        fields = fields[:2] + (make_field(fields[2].grid, values),) + fields[3:]
+        state = FilamentState(u=fields, cfg=SQUARE)
+        with pytest.raises(NumericalGuard, match="energy groupings disagree"):
+            energies(state)
+        with pytest.raises(NumericalGuard, match="energy groupings disagree"):
+            evolve(state, 0.01, 1e-3, energy_cap=0.0)
+        if np.isnan(value):
+            with pytest.raises(NumericalGuard, match="NaN filament separation"):
+                interaction_rhs(state)
 
     def test_energies_guard_survives_optimize_flag(self):
         code = (

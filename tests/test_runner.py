@@ -481,6 +481,32 @@ class TestCli:
         assert main(["stability", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "stability.csv").exists()
 
+    def test_infinite_node_in_a_field_file_exits_6(self, tmp_path):
+        """The state refuses the field before any product with it, so the
+        run warns nothing."""
+        grid = make_grid(20.0, 256)
+        rows = [0.01 * np.exp(-((grid.nodes - c) ** 2)) + 0j for c in (0.0, 1.0, -1.0, 0.5)]
+        rows[2][100] = np.inf
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, grid, rows)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"L": 20, "M": 256},
+            "time": {"T": 0.01, "dt": 1e-3},
+            "perturbation": {"kind": "file", "path": str(path)},
+        }))
+        code = "import sys\nfrom vfsim.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = os.path.dirname(os.path.dirname(vfsim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code, "square",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 6, out.stderr
+        assert "field 2 is not finite" in out.stderr
+        assert "Warning" not in out.stderr
+        assert load_status(tmp_path / "o")["status"] == "NumericalGuard"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
             ["square", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

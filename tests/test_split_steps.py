@@ -17,9 +17,16 @@ Covered here:
     most 600 (3,960 steps);
   * the halt order of a block of identity steps: steps in time order, a
     step's midpoint guard before its boundary guard, the first failing
-    check wins, and a guard halt keeps the rows at the start of its step.
+    check wins, and a guard halt keeps the rows at the start of its step;
+  * the guard's horizon: the steps that start before it are neither
+    transformed nor guarded, a run whose guard would pass on them yields
+    the same rows, times and halt bit for bit, and a NaN or -inf horizon
+    guards every step;
+  * the collision preset's certified guard: at most 64 guarded midpoints
+    and 100 transforms, with the halt at t = 0.99 on pair (0, 1), sigma* = 0.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -115,6 +122,18 @@ def test_collision_preset_transform_count(fft_calls, tmp_path):
     assert len(fft_calls) <= 600
 
 
+def test_collision_preset_guards_few_midpoints(fft_calls, guarded_shapes, tmp_path):
+    """The speed bound clears all but a few dozen of the 3,968 midpoints
+    that a guard on every step would transform and check."""
+    report = run(scenario_defaults("collision"), tmp_path)
+    assert report.status == "CollisionDetected"
+    assert report.hitting_times["collision_time"] == 0.99
+    assert report.hitting_times["pair"] == [0, 1]
+    assert report.hitting_times["sigma_star"] == 0.0
+    assert sum(steps for steps, _, _ in guarded_shapes) <= 64
+    assert len(fft_calls) <= 100
+
+
 class TestBlockHaltOrder:
     """A spreading bump under the free flow on a short box, one block of
     256 steps between samples; a guard that fails at one chosen step."""
@@ -159,3 +178,71 @@ class TestBlockHaltOrder:
         assert isinstance(halt, BoundaryContaminated) and t == (step + 1) * DT
         *_, (_, unguarded_rows, _) = self.run(400)
         assert np.array_equal(rows, unguarded_rows)
+
+
+class TestHorizon:
+    """The spreading bump of TestBlockHaltOrder sampled every 100 steps, so
+    a block is the steps between two samples; the boundary guard trips at
+    the end of step 170."""
+
+    grid = make_grid(10.0, 64)
+
+    def run(self, n_steps, horizon=None, failing_step=None):
+        """The yields of the run and the (step, midpoint) pairs guarded."""
+        rows = 0.2 * np.exp(-self.grid.nodes**2)[None, :] + 0j
+        dispersion = -1j * self.grid.wavenumbers[None, :] ** 2
+        seen = []
+
+        def guard(v, times):
+            assert v.shape == (len(times), 1, 64)
+            steps = [round(t / DT) for t in times]
+            seen.extend(zip(steps, v.copy()))
+            if failing_step in steps:
+                return steps.index(failing_step), NumericalGuard("failing step")
+            return None
+
+        read = None if horizon is None else lambda: horizon
+        out = list(_split_steps(
+            self.grid, rows, dispersion, 0.0, n_steps, DT, 100, 1e-6,
+            guard=guard, guard_rows=1, horizon=read,
+        ))
+        return out, seen
+
+    @staticmethod
+    def assert_same_yields(first, second):
+        assert len(first) == len(second)
+        for (t, rows, halt), (t2, rows2, halt2) in zip(first, second):
+            assert t == t2 and np.array_equal(rows, rows2)
+            assert type(halt) is type(halt2) and str(halt) == str(halt2)
+
+    @pytest.mark.parametrize("cleared", [1, 37, 150])
+    def test_cleared_steps_are_never_guarded(self, cleared):
+        _, seen = self.run(180, horizon=cleared * DT)
+        steps = [step for step, _ in seen]
+        # samples every 100 steps: the block after step 100 is guarded anew
+        # only from the horizon on
+        assert steps == list(range(cleared, 180))
+
+    @pytest.mark.parametrize("failing_step", [None, 120, 179])
+    def test_same_yields_as_without_a_horizon(self, failing_step):
+        plain, seen = self.run(180, failing_step=failing_step)
+        certified, seen_after = self.run(180, 60 * DT, failing_step)
+        self.assert_same_yields(certified, plain)
+        by_step = dict(seen)
+        for step, v in seen_after:
+            assert np.array_equal(v, by_step[step])
+
+    @pytest.mark.parametrize("horizon", [math.nan, -math.inf])
+    def test_nan_or_minus_inf_guards_every_step(self, horizon):
+        plain, seen = self.run(180)
+        certified, seen_all = self.run(180, horizon)
+        self.assert_same_yields(certified, plain)
+        assert [s for s, _ in seen_all] == list(range(180))
+        for (_, v), (_, w) in zip(seen_all, seen):
+            assert np.array_equal(v, w)
+
+    def test_failing_step_after_the_horizon_halts_in_place(self):
+        *_, (t, rows, halt) = self.run(180, 60 * DT, failing_step=61)[0]
+        assert isinstance(halt, NumericalGuard) and t == 61 * DT
+        *_, (t_end, end, done) = self.run(61)[0]
+        assert done is None and t_end == t and np.array_equal(rows, end)
