@@ -27,15 +27,27 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .grid import MAX_POINTS, MIN_POINTS
 
-SCENARIOS = (
-    "point_vortex",
-    "stability",
-    "reduced",
-    "square",
-    "collision",
-    "traveling_wave",
-    "helix",
-)
+# Each scenario's preset: the ScenarioConfig values it changes.  The
+# collision preset pins the exact synchronized-collapse setup: the centered
+# square with opposite center circulation (stationary backbone), the
+# analytic dilation data, a grid just wide enough for the Gaussian profile,
+# and a step small enough to stay faithful until the collision threshold (2
+# percent of the backbone spacing) is crossed.
+_PRESETS = {
+    "point_vortex": dict(T=10.0, dt=1e-3),
+    "stability": dict(kind="polygon", N=8),
+    "reduced": dict(T=5.0),
+    "square": {},
+    "collision": dict(
+        kind="polygon_center", N=4, gamma0=-1.5, pert_kind="dilation",
+        L=20.0, M=512, T=1.05, dt=2.5e-4, sample_every=1000,
+        delta_min=0.02, boundary_tol=1e-6,
+    ),
+    "traveling_wave": dict(L=400.0, M=65536),
+    # the helices sit on an N-gon
+    "helix": dict(L=400.0, M=65536, kind="polygon", N=3),
+}
+SCENARIOS = tuple(_PRESETS)
 
 BACKBONE_KINDS = ("square", "polygon", "polygon_center", "segment", "hexagon")
 PERTURBATION_KINDS = ("gaussian", "dilation", "parallelogram", "file")
@@ -172,39 +184,10 @@ SCHEMA = {
 
 
 def scenario_defaults(scenario: str) -> ScenarioConfig:
-    """The preset configuration each scenario starts from.
-
-    The collision preset pins the exact synchronized-collapse setup: the
-    centered square with opposite center circulation (stationary backbone),
-    the analytic dilation data, a grid just wide enough for the Gaussian
-    profile, and a step small enough to stay faithful until the collision
-    threshold (2 percent of the backbone spacing) is crossed.
-    """
+    """The preset configuration each scenario starts from."""
     if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
-    cfg = ScenarioConfig(scenario=scenario)
-    if scenario == "point_vortex":
-        cfg.T, cfg.dt = 10.0, 1e-3
-    elif scenario == "stability":
-        cfg.kind, cfg.N = "polygon", 8
-    elif scenario == "reduced":
-        cfg.T = 5.0
-    elif scenario == "collision":
-        cfg.kind = "polygon_center"
-        cfg.N = 4
-        cfg.gamma0 = -1.5
-        cfg.pert_kind = "dilation"
-        cfg.L, cfg.M = 20.0, 512
-        cfg.T, cfg.dt = 1.05, 2.5e-4
-        cfg.sample_every = 1000
-        cfg.delta_min = 0.02
-        cfg.boundary_tol = 1e-6
-    elif scenario == "traveling_wave":
-        cfg.L, cfg.M = 400.0, 65536
-    elif scenario == "helix":
-        cfg.L, cfg.M = 400.0, 65536
-        cfg.kind, cfg.N = "polygon", 3  # the helices sit on an N-gon
-    return cfg
+    return ScenarioConfig(scenario=scenario, **_PRESETS[scenario])
 
 
 def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig:
@@ -240,12 +223,8 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             cfg.N = fixed
         elif cfg.N != fixed:
             raise ConfigError("config.N", f"kind {cfg.kind!r} fixes N={fixed}, got {cfg.N}")
-    if tag in ("traveling_wave", "helix") and not cfg.c2 < 2.0 * cfg.omega:
-        raise ConfigError(
-            "config.c2",
-            f"needs 0 < c2 < 2*omega (subsonic regime), got c2={cfg.c2}, "
-            f"omega={cfg.omega}",
-        )
+    if tag in ("traveling_wave", "helix"):
+        _require_subsonic(cfg.c2, cfg.omega, "config.c2")
     if cfg.M % 2 != 0:
         raise ConfigError("grid.M", f"must be even, got {cfg.M}")
     if cfg.pert_kind == "file" and not cfg.path:
@@ -257,7 +236,22 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
         )
     if cfg.dt > cfg.T:
         raise ConfigError("time.dt", f"dt={cfg.dt} exceeds T={cfg.T}")
+    # a point-vortex run stores its whole path, one row per step
+    if tag == "point_vortex" and not cfg.T / cfg.dt <= MAX_POINTS:
+        raise ConfigError(
+            "time.T", f"T/dt = {cfg.T / cfg.dt:.6g} steps, more than the {MAX_POINTS} "
+            "a point-vortex path may store",
+        )
     return cfg
+
+
+def _require_subsonic(c2: float, omega: float, where: str) -> None:
+    """The travelling-wave window 0 < c2 < 2*omega, on a parsed c2."""
+    if not c2 < 2.0 * omega:
+        raise ConfigError(
+            where,
+            f"needs 0 < c2 < 2*omega (subsonic regime), got c2={c2}, omega={omega}",
+        )
 
 
 def config_echo(cfg: ScenarioConfig) -> dict:

@@ -667,7 +667,6 @@ def evolve_samples(
         near = gaps <= (1.0 + 1e-6) * gaps.min()
         pairs, coeffs = (pairs[0][near], pairs[1][near]), coeffs[near]
         j, k = pairs
-        psi = dist = None
         # the speed bound and the roundoff slack of the horizon (see above)
         m = grid.num_points
         spectrum = np.abs(np.fft.fft(u_vals, axis=1))
@@ -681,18 +680,14 @@ def evolve_samples(
 
         def guard(v: np.ndarray, times: list[float]):
             # the free flow: N is the identity, so only guard the midpoints
-            nonlocal psi, dist, safe
-            b = len(times)
-            if psi is None or psi.shape[0] < b:
-                psi = np.empty((b, j.size, m), dtype=np.complex128)
-                dist = np.empty(psi.shape)
+            nonlocal safe
             xs = np.exp(1j * omega * np.array(times))[:, None] * x0
-            np.multiply(coeffs, v, out=psi[:b])
-            np.add((xs[:, j] - xs[:, k])[:, :, None], psi[:b], out=psi[:b])
-            halt = _separation_halt(psi[:b], dist[:b], threshold, times, grid.nodes, pairs)
+            psi = (xs[:, j] - xs[:, k])[:, :, None] + coeffs * v
+            dist = np.empty(psi.shape)
+            halt = _separation_halt(psi, dist, threshold, times, grid.nodes, pairs)
             safe = -math.inf
             if halt is None and math.isfinite(rate):
-                margin = float(dist[b - 1].min()) - threshold - slack
+                margin = float(dist[-1].min()) - threshold - slack
                 if 0.0 < margin < math.inf:
                     safe = times[-1] + margin / rate if rate > 0.0 else math.inf
             return halt
@@ -803,16 +798,25 @@ def _require_plain_four(state: FilamentState) -> None:
         )
 
 
-def _require_unit_square(state: FilamentState) -> None:
-    _require_plain_four(state)
+def _require_unit_polygon(state: FilamentState, n: int, centre: bool, name: str) -> None:
+    """The precondition of the exact energy identities: n vertices at
+    X_0 exp(2 pi i k / n) on the unit circle, around a centre vortex at the
+    origin when ``centre``, and every circulation 1, each to 1e-12 absolute.
+    WrongN for the wrong filament count, WrongConfig otherwise."""
     cfg = state.cfg
+    if state.count != n + centre or cfg.has_center != centre:
+        raise WrongN(f"the {name} identity needs {n} vertices{' and a centre' * centre}, "
+                     f"got {state.count} filaments (has_center={cfg.has_center})")
     x = cfg.positions
-    if not np.allclose(np.abs(x), 1.0, atol=1e-12):
-        raise WrongConfig("square identity needs radius 1")
-    if not np.allclose(x, x[0] * 1j ** np.arange(4), atol=1e-12):
-        raise WrongConfig("positions do not form a square")
-    if not np.allclose(cfg.circulations, 1.0, atol=1e-12):
-        raise WrongConfig("square identity needs unit circulations")
+    ring = x[1:] if centre else x
+    for values, target, what in (
+        (x[:centre], 0.0, "the centre at the origin"),
+        (np.abs(ring), 1.0, "radius 1"),
+        (ring, ring[0] * np.exp(2j * np.pi * np.arange(n) / n), f"a regular {name}"),
+        (cfg.circulations, 1.0, "unit circulations"),
+    ):
+        if not np.allclose(values, target, rtol=0.0, atol=1e-12):
+            raise WrongConfig(f"the {name} identity needs {what}")
 
 
 def vw_decompose(state: FilamentState) -> tuple[ComplexField, ComplexField]:
@@ -851,7 +855,7 @@ def square_energy_identity(state: FilamentState) -> float:
     parallelogram law; doubling any of them breaks the identity (see the
     tests).
     """
-    _require_unit_square(state)
+    _require_unit_polygon(state, 4, False, "square")
     rep = energies(state)
     v, w = vw_decompose(state)
     vsq = float(quad_trapezoid(state.grid, np.abs(v.values) ** 2))
@@ -998,20 +1002,7 @@ def segment_energy_identity(state: FilamentState) -> float:
     the two ends at +-1), all circulations 1.  Checked below
     1e-10 * max(1, |E|).
     """
-    cfg = state.cfg
-    if state.count != 3 or not cfg.has_center:
-        raise WrongConfig(
-            f"needs the centered 2-polygon (3 filaments), got {state.count} "
-            f"(has_center={cfg.has_center})"
-        )
-    x = cfg.positions
-    if abs(x[0]) > 1e-12 or not np.allclose(np.abs(x[1:]), 1.0, atol=1e-12):
-        raise WrongConfig("segment identity needs ends at radius 1")
-    if abs(x[1] + x[2]) > 1e-12:
-        raise WrongConfig("segment ends must be antipodal")
-    if not np.allclose(cfg.circulations, 1.0, atol=1e-12):
-        raise WrongConfig("segment identity needs unit circulations")
-
+    _require_unit_polygon(state, 2, True, "segment")
     rep = energies(state)
     grid = state.grid
     mid_sq = float(quad_trapezoid(grid, np.abs(state.u[0].values) ** 2))
@@ -1038,21 +1029,7 @@ def hexagon_energy_identity(state: FilamentState) -> float:
     over the two inscribed equilateral triangles and the last sum over the
     three antipodal pairs.  Checked below 1e-10 * max(1, |E|).
     """
-    cfg = state.cfg
-    if state.count != 6 or cfg.has_center:
-        raise WrongConfig(
-            f"needs the plain 6-polygon, got {state.count} "
-            f"(has_center={cfg.has_center})"
-        )
-    x = cfg.positions
-    if not np.allclose(np.abs(x), 1.0, atol=1e-12):
-        raise WrongConfig("hexagon identity needs radius 1")
-    step = np.exp(1j * np.pi / 3.0)
-    if not np.allclose(x, x[0] * step ** np.arange(6), atol=1e-12):
-        raise WrongConfig("positions do not form a regular hexagon")
-    if not np.allclose(cfg.circulations, 1.0, atol=1e-12):
-        raise WrongConfig("hexagon identity needs unit circulations")
-
+    _require_unit_polygon(state, 6, False, "hexagon")
     rep = energies(state)
     u_vals = _values_matrix(state)
     # rows (u_1+u_3+u_5, u_2+u_4+u_6) and (u_j + u_(j+3)) for j = 1, 2, 3

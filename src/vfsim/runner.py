@@ -30,7 +30,7 @@ from importlib import metadata
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, config_echo
+from .config import SCHEMA, ScenarioConfig, _require_subsonic, config_echo
 from .errors import (
     BoundaryContaminated,
     CollisionDetected,
@@ -310,11 +310,8 @@ def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunRep
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
 
     report = _base_report(cfg, "Completed")
-    inv = traj.invariant_series
     for key in ("center_of_inertia", "angular_momentum", "log_sum", "quad_sum"):
-        series = inv[key]
-        drift = float(np.max(np.abs(series - series[0])))
-        report.constants[f"drift_{key}"] = drift
+        report.constants[f"drift_{key}"] = _drift(traj.invariant_series[key])
     report.files = ["trajectory.csv"]
     return report
 
@@ -354,7 +351,7 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
             f"{cfg.pert_kind!r} data needs the square scenario",
         )
     state = PhiState(phi=phi, omega=cfg.omega, time=0.0)
-    samples, files = [], ["energies.csv"]
+    samples, files, halt = [], ["energies.csv"], None
     try:
         for st, sample in evolve_bm_samples(
             state, cfg.T, cfg.dt,
@@ -367,20 +364,15 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     except VfsimError as exc:
         if not samples:
             raise
-        # a raised guard keeps the samples before it
-        write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
-        report = _error_report(cfg, exc)
-        report.files = files
-        return report
+        halt = exc  # a raised guard keeps the samples before it
     write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
 
-    report = _base_report(cfg, "Completed")
-    e0 = samples[0].E
-    drift = max(abs(s.E - e0) for s in samples)
-    report.constants["drift_E"] = drift
-    if e0 != 0.0:
-        report.constants["rel_drift_E"] = drift / abs(e0)
-    report.constants["min_mod"] = min(s.min_mod for s in samples)
+    if halt is not None:
+        report = _error_report(cfg, halt)
+    else:
+        report = _base_report(cfg, "Completed")
+        report.constants.update(_energy_drift([s.E for s in samples]))
+        report.constants["min_mod"] = min(s.min_mod for s in samples)
     report.files = files
     return report
 
@@ -414,14 +406,25 @@ def _stream_filaments(cfg: ScenarioConfig, state: FilamentState, out_dir,
     return reports, halt, files
 
 
+def _drift(values) -> float:
+    """max |Q(t) - Q(0)| over the samples Q of a run."""
+    values = np.asarray(values)
+    return float(np.max(np.abs(values - values[0])))
+
+
+def _energy_drift(energies: list[float]) -> dict:
+    """drift_E, and rel_drift_E = drift_E / |E(0)| unless E(0) = 0."""
+    drift = {"drift_E": _drift(energies)}
+    if energies[0] != 0.0:
+        drift["rel_drift_E"] = drift["drift_E"] / abs(energies[0])
+    return drift
+
+
 def _conserved_drifts(reports) -> dict:
-    """drift_H and drift_A: max |Q(t) - Q(0)| over the sampled reports of
-    the two quantities the filament flow conserves for any data."""
-    first = reports[0]
-    return {
-        "drift_H": max(abs(r.H - first.H) for r in reports),
-        "drift_A": max(abs(r.A - first.A) for r in reports),
-    }
+    """drift_H and drift_A of the sampled reports: the two quantities the
+    filament flow conserves for any data."""
+    return {"drift_H": _drift([r.H for r in reports]),
+            "drift_A": _drift([r.A for r in reports])}
 
 
 def _record_collision(report: RunReport, time: float, sigma: float,
@@ -459,11 +462,7 @@ def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         report.constants["tilde_E0"] = te0
         report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
     report.constants.update(_conserved_drifts(reports))
-    e0 = reports[0].E
-    drift = max(abs(r.E - e0) for r in reports)
-    report.constants["drift_E"] = drift
-    if e0 != 0.0:
-        report.constants["rel_drift_E"] = drift / abs(e0)
+    report.constants.update(_energy_drift([r.E for r in reports]))
     if all(r.vw_norms is not None for r in reports):
         report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
     growth = growth_constants(reports)
@@ -488,8 +487,16 @@ def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     return report
 
 
-def _parse_sweep(text: str) -> list:
-    """Parse ``c2=START:STOP:COUNT`` into a list of c2 values."""
+# the most c2 values a sweep takes: each one solves a wave on the full grid
+_MAX_SWEEP = 10_000
+
+
+def _parse_sweep(text: str, omega: float) -> list:
+    """Parse ``c2=START:STOP:COUNT`` into a list of c2 values.
+
+    START and STOP must pass the ``config.c2`` parser and its subsonic rule,
+    and COUNT lie in [2, _MAX_SWEEP], before any value is made.
+    """
     try:
         name, rest = text.split("=", 1)
         start_s, stop_s, count_s = rest.split(":")
@@ -498,19 +505,23 @@ def _parse_sweep(text: str) -> list:
         raise ConfigError("sweep", f"expected c2=START:STOP:COUNT, got {text!r}")
     if name != "c2":
         raise ConfigError("sweep", f"only c2 sweeps are supported, got {name!r}")
-    if count < 2:
-        raise ConfigError("sweep", "sweep needs at least 2 points")
+    if not 2 <= count <= _MAX_SWEEP:
+        raise ConfigError("sweep", f"COUNT must lie in [2, {_MAX_SWEEP}], got {count}")
+    parse_c2 = SCHEMA["config"]["c2"][1]
+    for value in (start, stop):
+        _require_subsonic(parse_c2(value, "sweep"), omega, "sweep")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
 def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
                         sweep: str | None = None,
                         out_name: str | None = None) -> RunReport:
+    c2_values = None if sweep is None else _parse_sweep(sweep, cfg.omega)
     grid = make_grid(cfg.L, cfg.M)
     report = _base_report(cfg, "Completed")
     name = out_name or ("sweep.csv" if sweep else "profile.csv")
 
-    if sweep is None:
+    if c2_values is None:
         params = WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2))
         profile = build_wave(params, grid)
         v = profile.v.values
@@ -523,7 +534,6 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
         report.files = [name]
         return report
 
-    c2_values = _parse_sweep(sweep)
     params_list = [WaveParams(omega=cfg.omega, c=math.sqrt(c2)) for c2 in c2_values]
     rows = sweep_waves(params_list, grid)
     names = ["c2", "sigma1", "energy", "phase_jump", "residual"]

@@ -9,7 +9,9 @@ Covered here:
   * energy bookkeeping: agreement with N copies of the single-profile
     energy on dilation data, the rotation identity 2I = omega A, and the
     square / segment / hexagon energy identities together with a
-    wrong-coefficient variant, and their BoundViolated check under python -O,
+    wrong-coefficient variant, and their BoundViolated check under python -O;
+    their one precondition refuses a count, centre, radius, vertex or
+    circulation off by 1e-9,
   * the assembled linear parts L_v, L_w: vanishing on the unit square,
     nonvanishing on a stretched rectangle,
   * coercivity of the renormalized energy on the admissible ratio band,
@@ -57,7 +59,8 @@ Covered here:
     the fields by exp(i theta), on generic and on free-flow data,
   * NaN and inf data end as NumericalGuard in the kernel, in energies()
     (also under python -O) and in evolve(), also for a state assembled
-    without filament_state; filament_state refuses a
+    without filament_state; a NaN met inside a step is raised by
+    evolve_samples after the samples before it; filament_state refuses a
     non-finite node, tagged or not, and dilation_state a non-finite
     profile, naming the field, without a RuntimeWarning,
   * the unordered pair layout of the snapshot quantities: energies(),
@@ -79,6 +82,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vfsim
+from vfsim import filaments
 from vfsim.config import ScenarioConfig
 from vfsim.errors import (
     CollisionDetected,
@@ -99,6 +103,7 @@ from vfsim.filaments import (
     dilation_state,
     energies,
     evolve,
+    evolve_samples,
     filament_state,
     growth_monitors,
     hexagon_energy_identity,
@@ -121,6 +126,12 @@ from vfsim.symmetry import Orbits, pair_rows, point_reflection, rotation_symmetr
 GRID = make_grid(30.0, 1024)
 SQUARE = polygon_config(4, 1.0, 1.0)
 TRIANGLE = polygon_config(3, 1.0, 1.0)
+# the backbones of the exact energy identities
+UNIT_POLYGONS = {
+    "square": (square_energy_identity, SQUARE),
+    "segment": (segment_energy_identity, polygon_config(2, 1.0, 1.0, center_circulation=1.0)),
+    "hexagon": (hexagon_energy_identity, polygon_config(6, 1.0, 1.0)),
+}
 
 
 def random_state(vortex, grid, scale, seed, kinds=None):
@@ -589,6 +600,44 @@ class TestSquareIdentity:
         state = random_state(TRIANGLE, GRID, 0.05, 0)
         with pytest.raises(WrongConfig):
             square_energy_identity(state)
+
+    @pytest.mark.parametrize("rejection", ["count", "centre", "radius", "shape", "circulation"])
+    @pytest.mark.parametrize("name", sorted(UNIT_POLYGONS))
+    def test_precondition_rejects_an_error_of_1e9(self, name, rejection):
+        """Each identity holds only on the unit polygon with unit
+        circulations: a count off by one is WrongN, and a centre, radius,
+        vertex or circulation off by 1e-9 is WrongConfig (WrongN for a
+        centre added to a plain polygon)."""
+        identity, vortex = UNIT_POLYGONS[name]
+        n = vortex.count - vortex.has_center
+        x, g = vortex.positions.copy(), vortex.circulations.copy()
+        ring = x[1:] if vortex.has_center else x
+        centre, expected = (1.0 if vortex.has_center else None), WrongConfig
+        if rejection == "count":
+            vortex, expected = polygon_config(n + 1, 1.0, 1.0, centre), WrongN
+        elif rejection == "centre" and centre is None:
+            vortex, expected = polygon_config(n, 1.0, 1.0, 1.0), WrongN
+        elif rejection == "centre":
+            x[0] = 1e-9
+        elif rejection == "radius":
+            ring *= 1.0 + 1e-9
+        elif rejection == "shape":
+            ring[-1] *= np.exp(1e-9j)
+        else:
+            g[-1] += 1e-9
+        if expected is WrongConfig:
+            vortex = dataclasses.replace(vortex, positions=x, circulations=g)
+        with pytest.raises(WrongConfig) as raised:
+            identity(random_state(vortex, GRID, 0.05, 0))
+        assert raised.type is expected
+
+    def test_distorted_square_is_rejected_before_the_identity(self):
+        """A square stretched by 3e-6 k at vertex k is not the unit square:
+        the precondition, not the identity check, refuses it."""
+        vortex = dataclasses.replace(SQUARE, positions=SQUARE.positions * (1.0 + 3e-6 * np.arange(4)))
+        with pytest.raises(WrongConfig) as raised:
+            square_energy_identity(random_state(vortex, GRID, 0.05, 0))
+        assert raised.type is WrongConfig
 
     def test_segment_identity(self):
         seg = polygon_config(2, 1.0, 1.0, center_circulation=1.0)
@@ -1673,6 +1722,29 @@ class TestNonFiniteGuard:
     def test_evolve(self, value):
         with pytest.raises(NumericalGuard):
             evolve(poisoned_state(value), 0.01, 1e-3, energy_cap=0.0)
+
+    def test_step_guard_is_raised_after_the_samples_before_it(self, monkeypatch):
+        """A NaN that reaches the pair kernel inside the split-step loop ends
+        evolve_samples with a raised NumericalGuard, not a yielded halt, after
+        the samples of the steps before it."""
+        exact, k = filaments._rk4, 3
+
+        def poisoning(rate, like, h):
+            step, calls = exact(rate, like, h), []
+
+            def poisoned(v, t):
+                if len(calls) == k:
+                    v[0, 100] = np.nan
+                calls.append(t)
+                step(v, t)
+            return poisoned
+
+        monkeypatch.setattr(filaments, "_rk4", poisoning)
+        samples = []
+        with pytest.raises(NumericalGuard, match="NaN filament separation at t=0.003"):
+            for snap, _, halt in evolve_samples(poisoned_state(0.0), 0.01, 1e-3, sample_every=1):
+                samples.append((snap.time, halt))
+        assert samples == [(pytest.approx(i * 1e-3), None) for i in range(k + 1)]
 
     @pytest.mark.parametrize("value", [np.nan, complex(np.inf, 0.0)])
     def test_state_built_without_validation(self, value):

@@ -11,14 +11,17 @@ Covered here:
   * guard mapping: a collision maps to exit code 3 with hitting times,
     a collision run that leaves its box to exit code 5 with its boundary
     time, a reduced run that leaves its box to exit code 5 with the
-    samples before the halt in energies.csv,
+    samples before the halt in energies.csv, a collision halt right after
+    a sample keeps that sample once,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
   * the traced memory peak of the helix preset,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
     traveling-wave file-style --out; flags are validated like file values,
-    and every bad number, flag or field file exits 2 naming its field,
+    and every bad number, flag or field file exits 2 naming its field; a
+    supersonic, NaN or oversized sweep and an oversized point-vortex run
+    exit 2 before they allocate,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module.
 """
@@ -214,6 +217,21 @@ class TestScenarioRuns:
         rows = (tmp_path / "energies.csv").read_text().splitlines()
         assert rows[0] == "t,E,E_GP,sup_dev,min_mod"
         assert [r.split(",")[0] for r in rows[1:]] == ["0"]
+
+    def test_halt_right_after_a_sample_keeps_it_once(self, tmp_path):
+        """At dt = 0.01 the collision preset trips in the step that opens
+        from its sample at t = 0.99: energies.csv keeps that sample once."""
+        cfg = parse_config_dict(
+            {"scenario": "collision", "time": {"dt": 0.01, "sample_every": 1}}
+        )
+        report = run(cfg, tmp_path)
+        assert report.exit_code == EXIT_CODES["CollisionDetected"] == 3
+        assert report.hitting_times["collision_time"] == 0.99
+        assert report.hitting_times["pair"] == [0, 1]
+        rows = (tmp_path / "energies.csv").read_text().splitlines()[1:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert len(times) == len(set(rows)) == 100
+        assert times[-1] == 0.99
 
     def test_square_nan_field_is_guarded(self, tmp_path):
         grid = make_grid(20.0, 256)
@@ -636,6 +654,36 @@ class TestCli:
             argv += ["--config", str(path)]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,data,field,reason",
+        [
+            (["traveling-wave", "--sweep", "c2=2.5:1.9:3"], None, "sweep", "subsonic"),
+            (["traveling-wave", "--sweep", "c2=nan:1.9:3"], None, "sweep", "finite"),
+            (["traveling-wave", "--sweep", "c2=1.99:1.90:10000000000000"], None, "sweep",
+             "COUNT"),
+            (["point-vortex"], {"scenario": "point_vortex", "time": {"T": 1e9}}, "time.T",
+             "steps"),
+        ],
+        ids=["sweep-supersonic", "sweep-nan", "sweep-count", "point-vortex-steps"],
+    )
+    def test_oversized_or_supersonic_run_exits_2_before_allocating(
+            self, tmp_path, capsys, args, data, field, reason):
+        argv = args + ["--out", str(tmp_path / "o" / "p.csv")]
+        if data is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))
+            argv += ["--config", str(path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err and reason in err
+        assert peak < 2**20
 
     def test_grid_too_large_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
