@@ -24,7 +24,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import metadata
 
 import numpy as np
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .filaments import (
     FilamentState,
-    collision_initial_state,
     dilation_state,
     evolve_samples,
     filament_state,
@@ -57,7 +56,13 @@ from .point_vortex import (
     polygon_config,
     write_trajectory_csv,
 )
-from .reduced import PhiState, evolve_bm_samples, lattice_wavenumber, write_energy_csv
+from .reduced import (
+    PhiState,
+    analytic_collision_phi,
+    evolve_bm_samples,
+    lattice_wavenumber,
+    write_energy_csv,
+)
 from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
@@ -125,24 +130,10 @@ class RunReport:
     hitting_times: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
     versions: dict = field(default_factory=dict)
     acceptance: str = ""
     symmetry: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "scenario": self.scenario,
-            "hitting_times": self.hitting_times,
-            "constants": self.constants,
-            "files": self.files,
-            "config": self.config_echo,
-            "versions": self.versions,
-            "acceptance": self.acceptance,
-            "symmetry": self.symmetry,
-        }
 
 
 @functools.cache
@@ -178,7 +169,7 @@ def _base_report(cfg: ScenarioConfig, status: str,
         status=status,
         exit_code=EXIT_CODES[status],
         scenario=cfg.scenario,
-        config_echo=config_echo(cfg),
+        config=config_echo(cfg),
         versions=_versions(),
         acceptance=_acceptance_for(cfg),
         symmetry=symmetry.name if symmetry is not None else None,
@@ -195,7 +186,7 @@ def _check_files(out_dir, names: list) -> None:
 def write_status(out_dir, report: RunReport) -> str:
     path = os.path.join(out_dir, "status.json")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -269,6 +260,9 @@ def _gaussian_profile(cfg: ScenarioConfig, grid: Grid1D) -> np.ndarray:
 def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     """Initial perturbations for the full N-filament system.
 
+    The collision scenario carries the closed-form collision profile
+    (``reduced.analytic_collision_phi`` at t = 0) as dilation data on the
+    config's backbone, whatever the perturbation section says.  Otherwise
     ``gaussian`` draws an independent random bump profile per filament
     (generic data, scale ``amp``); ``dilation`` is the shared-profile
     ansatz u_j = X_j (phi - 1) with phi a Gaussian bump on background 1
@@ -278,6 +272,9 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     u_{j+2} = -u_j; ``file`` reads previously dumped fields.
     """
     vortex = build_backbone(cfg)
+    if cfg.scenario == "collision":
+        phi = make_field(grid, analytic_collision_phi(0.0, grid.nodes), background=1.0)
+        return dilation_state(vortex, phi)
     if cfg.pert_kind == "gaussian":
         rng = np.random.default_rng(cfg.seed)
         fields = [
@@ -350,60 +347,49 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
             "perturbation.kind",
             f"{cfg.pert_kind!r} data needs the square scenario",
         )
-    state = PhiState(phi=phi, omega=cfg.omega, time=0.0)
-    samples, files, halt = [], ["energies.csv"], None
-    try:
-        for st, sample in evolve_bm_samples(
-            state, cfg.T, cfg.dt,
-            sample_every=cfg.sample_every,
-            boundary_tol=cfg.boundary_tol,
-        ):
-            if dump_fields:
-                files.append(_dump_fields(out_dir, len(samples), grid, [st.phi]))
-            samples.append(sample)
-    except VfsimError as exc:
-        if not samples:
-            raise
-        halt = exc  # a raised guard keeps the samples before it
-    write_energy_csv(os.path.join(out_dir, "energies.csv"), samples)
+    samples = evolve_bm_samples(
+        PhiState(phi=phi, omega=cfg.omega, time=0.0), cfg.T, cfg.dt,
+        sample_every=cfg.sample_every,
+        boundary_tol=cfg.boundary_tol,
+    )
 
-    if halt is not None:
-        report = _error_report(cfg, halt)
-    else:
+    def finish(rows: list, halt) -> RunReport:
         report = _base_report(cfg, "Completed")
-        report.constants.update(_energy_drift([s.E for s in samples]))
-        report.constants["min_mod"] = min(s.min_mod for s in samples)
+        report.constants.update(_energy_drift([s.E for s in rows]))
+        report.constants["min_mod"] = min(s.min_mod for s in rows)
+        return report
+
+    return _stream(cfg, out_dir, dump_fields,
+                   (([st.phi], sample, None) for st, sample in samples),
+                   write_energy_csv, finish)
+
+
+def _stream(cfg: ScenarioConfig, out_dir, dump_fields: bool, samples,
+            write_rows, finish) -> RunReport:
+    """Consume a run's (fields, row, halt) samples, fields None for a halt
+    that keeps the sample before it: dump each sample's fields as they
+    arrive if asked, then drop them, and write the rows to energies.csv once
+    with ``write_rows``.  The report is ``finish(rows, last halt)``, or
+    ``_error_report`` with the files so far for a guard raised after the
+    first sample (one raised before it propagates)."""
+    rows, files, halt, raised = [], ["energies.csv"], None, None
+    try:
+        for fields, row, halt in samples:
+            if fields is None:
+                continue
+            if dump_fields:
+                name = f"fields_t{len(rows):04d}.csv"
+                write_fields_csv(os.path.join(out_dir, name), fields[0].grid, fields)
+                files.append(name)
+            rows.append(row)
+    except VfsimError as exc:
+        if not rows:
+            raise
+        raised = exc
+    write_rows(os.path.join(out_dir, "energies.csv"), rows)
+    report = finish(rows, halt) if raised is None else _error_report(cfg, raised)
     report.files = files
     return report
-
-
-def _dump_fields(out_dir, index: int, grid: Grid1D, fields) -> str:
-    """Write sample ``index``'s fields to fields_tNNNN.csv; return the name."""
-    name = f"fields_t{index:04d}.csv"
-    write_fields_csv(os.path.join(out_dir, name), grid, fields)
-    return name
-
-
-def _stream_filaments(cfg: ScenarioConfig, state: FilamentState, out_dir,
-                      dump_fields: bool, **guards):
-    """Run ``evolve_samples`` on the config's time and guard settings,
-    writing each snapshot's field dump as it arrives, then dropping it;
-    then write energies.csv.  Returns (reports, halt, files)."""
-    reports, files, halt = [], ["energies.csv"], None
-    for snap, rep, halt in evolve_samples(
-        state, cfg.T, cfg.dt,
-        sample_every=cfg.sample_every,
-        delta_min=cfg.delta_min,
-        boundary_tol=cfg.boundary_tol,
-        **guards,
-    ):
-        if snap is None:
-            continue
-        if dump_fields:
-            files.append(_dump_fields(out_dir, len(reports), snap.grid, list(snap.u)))
-        reports.append(rep)
-    write_reports_csv(os.path.join(out_dir, "energies.csv"), reports)
-    return reports, halt, files
 
 
 def _drift(values) -> float:
@@ -420,23 +406,11 @@ def _energy_drift(energies: list[float]) -> dict:
     return drift
 
 
-def _conserved_drifts(reports) -> dict:
-    """drift_H and drift_A of the sampled reports: the two quantities the
-    filament flow conserves for any data."""
-    return {"drift_H": _drift([r.H for r in reports]),
-            "drift_A": _drift([r.A for r in reports])}
-
-
-def _record_collision(report: RunReport, time: float, sigma: float,
-                      pair: tuple[int, int]) -> None:
-    """Write a collision halt into the report's hitting times."""
-    report.hitting_times.update(collision_time=time, sigma_star=sigma, pair=list(pair))
-
-
 def _record_halt(report: RunReport, halt: VfsimError | None) -> None:
     """Write the hitting time of the guard that ended a filament run."""
     if isinstance(halt, CollisionDetected):
-        _record_collision(report, halt.time, halt.sigma, halt.pair)
+        report.hitting_times.update(
+            collision_time=halt.time, sigma_star=halt.sigma, pair=list(halt.pair))
     elif isinstance(halt, EnergyCapExceeded):
         report.hitting_times["cap_time"] = halt.time
         report.constants["energy_cap"] = halt.cap
@@ -444,47 +418,43 @@ def _record_halt(report: RunReport, halt: VfsimError | None) -> None:
         report.hitting_times["boundary_time"] = halt.time
 
 
-def _halt_status(halt: VfsimError | None) -> str:
-    return "Completed" if halt is None else type(halt).__name__
-
-
-def _run_square(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
-    grid = make_grid(cfg.L, cfg.M)
-    state = build_filament_state(cfg, grid)
-    reports, halt, files = _stream_filaments(
-        cfg, state, out_dir, dump_fields,
+def _run_filaments(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+    """The square and collision scenarios: ``evolve_samples`` on the state of
+    ``build_filament_state`` with the config's time and guard settings."""
+    state = build_filament_state(cfg, make_grid(cfg.L, cfg.M))
+    samples = evolve_samples(
+        state, cfg.T, cfg.dt,
+        sample_every=cfg.sample_every,
+        delta_min=cfg.delta_min,
+        boundary_tol=cfg.boundary_tol,
         energy_cap_factor=cfg.energy_cap_factor,
     )
 
-    report = _base_report(cfg, _halt_status(halt), state)
-    if state.count == 4 and not state.cfg.has_center:
-        te0 = tilde_E0(state, reports[0])
-        report.constants["tilde_E0"] = te0
-        report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
-    report.constants.update(_conserved_drifts(reports))
-    report.constants.update(_energy_drift([r.E for r in reports]))
-    if all(r.vw_norms is not None for r in reports):
-        report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
-    growth = growth_constants(reports)
-    report.constants["pair_norm_C"] = growth.pair_norm_C
-    if growth.vw_C is not None:
-        report.constants["vw_C"] = growth.vw_C
-    _record_halt(report, halt)
-    report.files = files
-    return report
+    def finish(reports: list, halt: VfsimError | None) -> RunReport:
+        status = "Completed" if halt is None else type(halt).__name__
+        report = _base_report(cfg, status, state)
+        if state.count == 4 and not state.cfg.has_center:
+            te0 = tilde_E0(state, reports[0])
+            report.constants["tilde_E0"] = te0
+            report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
+        # H and A are conserved by the filament flow for any data, E is not
+        report.constants["drift_H"] = _drift([r.H for r in reports])
+        report.constants["drift_A"] = _drift([r.A for r in reports])
+        report.constants.update(_energy_drift([r.E for r in reports]))
+        report.constants["min_sep"] = min(r.min_sep for r in reports)
+        if all(r.vw_norms is not None for r in reports):
+            report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
+        growth = growth_constants(reports)
+        report.constants["pair_norm_C"] = growth.pair_norm_C
+        if growth.vw_C is not None:
+            report.constants["vw_C"] = growth.vw_C
+        _record_halt(report, halt)
+        return report
 
-
-def _run_collision(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
-    grid = make_grid(cfg.L, cfg.M)
-    state = collision_initial_state(cfg.N, grid)
-    reports, halt, files = _stream_filaments(cfg, state, out_dir, dump_fields)
-
-    report = _base_report(cfg, _halt_status(halt), state)
-    report.constants.update(_conserved_drifts(reports))
-    report.constants["min_sep"] = min(r.min_sep for r in reports)
-    _record_halt(report, halt)
-    report.files = files
-    return report
+    return _stream(cfg, out_dir, dump_fields,
+                   ((None if snap is None else snap.u, rep, halt)
+                    for snap, rep, halt in samples),
+                   write_reports_csv, finish)
 
 
 # the most c2 values a sweep takes: each one solves a wave on the full grid
@@ -582,8 +552,8 @@ _DISPATCH = {
     "point_vortex": _run_point_vortex,
     "stability": _run_stability,
     "reduced": _run_reduced,
-    "square": _run_square,
-    "collision": _run_collision,
+    "square": _run_filaments,
+    "collision": _run_filaments,
     "helix": _run_helix,
 }
 
@@ -597,10 +567,10 @@ def _error_report(cfg: ScenarioConfig, exc: VfsimError) -> RunReport:
     name = type(exc).__name__
     report = _base_report(cfg, name if name in EXIT_CODES else "NumericalGuard")
     report.constants["error"] = str(exc)
-    if isinstance(exc, CollisionDetected):
-        _record_collision(report, exc.time, exc.sigma, exc.pair)
-    elif isinstance(exc, BoundaryContaminated):
+    if isinstance(exc, BoundaryContaminated):  # raised by a reduced run only
         report.hitting_times["halt_time"] = exc.time
+    else:
+        _record_halt(report, exc)
     return report
 
 

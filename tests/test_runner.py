@@ -3,7 +3,8 @@
 Covered here:
   * builders: backbone kinds (including default center circulations),
     perturbation kinds with determinism, antisymmetry and file round
-    trip, grid mismatch rejection,
+    trip, grid mismatch rejection, the collision preset's state equal to
+    ``collision_initial_state``,
   * per-scenario runs on small grids: emitted files, status.json
     structure (status, constants, versions, acceptance tag, symmetry
     tag), exit codes, the scipy version read once per process, the drifts
@@ -12,7 +13,10 @@ Covered here:
     a collision run that leaves its box to exit code 5 with its boundary
     time, a reduced run that leaves its box to exit code 5 with the
     samples before the halt in energies.csv, a collision halt right after
-    a sample keeps that sample once,
+    a sample keeps that sample once, a NumericalGuard raised inside a
+    filament step keeps the samples and dumps before it, coincident
+    field data exit 3 at t = 0, the collision runs its config's backbone
+    (R, N, gamma0),
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
@@ -20,8 +24,9 @@ Covered here:
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
     traveling-wave file-style --out; flags are validated like file values,
     and every bad number, flag or field file exits 2 naming its field; a
-    supersonic, NaN or oversized sweep and an oversized point-vortex run
-    exit 2 before they allocate,
+    supersonic, NaN, oversized or too slow sweep or c2, an oversized
+    point-vortex run and an oversized config.N exit 2 before they allocate,
+    and a reduced run refuses two profiles and parallelogram data,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module.
 """
@@ -138,6 +143,16 @@ class TestBuildFilamentState:
         )
         loaded = build_filament_state(cfg, GRID)
         for fa, fb in zip(source.u, loaded.u):
+            assert np.array_equal(fa.values, fb.values)
+
+    def test_collision_preset_is_the_collision_initial_state(self):
+        grid = make_grid(20.0, 512)
+        state = build_filament_state(scenario_defaults("collision"), grid)
+        exact = filaments.collision_initial_state(4, grid)
+        assert state.symmetry.name == exact.symmetry.name == "C4+center"
+        assert np.array_equal(state.cfg.positions, exact.cfg.positions)
+        assert np.array_equal(state.cfg.circulations, exact.cfg.circulations)
+        for fa, fb in zip(state.u, exact.u):
             assert np.array_equal(fa.values, fb.values)
 
     def test_file_grid_mismatch(self, tmp_path):
@@ -396,6 +411,90 @@ class TestScenarioRuns:
         constants = load_status(tmp_path)["constants"]
         assert 0.0 <= constants["drift_H"] <= 1e-10
         assert 0.0 <= constants["drift_A"] <= 1e-10
+
+    def test_collision_runs_the_backbone_of_its_config(self, tmp_path):
+        """Doubling R doubles every separation, so the run halts where the
+        preset does with min_sep doubled, bit for bit."""
+        preset = run(scenario_defaults("collision"), tmp_path / "preset")
+        wide = run(parse_config_dict({"scenario": "collision", "config": {"R": 2.0}}),
+                   tmp_path / "wide")
+        for report in (preset, wide):
+            assert report.exit_code == EXIT_CODES["CollisionDetected"]
+            assert report.hitting_times["collision_time"] == 0.99
+            assert report.hitting_times["pair"] == [0, 1]
+        assert wide.constants["min_sep"] == 2.0 * preset.constants["min_sep"]
+        assert load_status(tmp_path / "wide")["config"]["config"]["R"] == 2.0
+
+    def test_collision_gamma0_null_freezes_the_backbone(self, tmp_path):
+        cfg = parse_config_dict({"scenario": "collision", "config": {"N": 6, "gamma0": None}})
+        report = run(cfg, tmp_path)
+        assert report.status == "CollisionDetected" and report.symmetry == "C6+center"
+        assert report.hitting_times == {"collision_time": 0.99, "sigma_star": 0.0,
+                                        "pair": [1, 2]}
+
+    def test_collision_keeps_the_configured_centre(self, tmp_path):
+        """The preset's centre circulation -1.5 sets a hexagon rotating, and
+        its data leave the box before they collide."""
+        cfg = parse_config_dict({"scenario": "collision", "config": {"N": 6}})
+        report = run(cfg, tmp_path)
+        assert report.status == "BoundaryContaminated" and report.symmetry == "C6+center"
+        assert 0.0 < report.hitting_times["boundary_time"] < cfg.T
+
+    def test_filament_guard_keeps_its_samples(self, tmp_path, monkeypatch):
+        """A NumericalGuard raised inside a step of a filament run keeps the
+        samples and the field dumps before it, listed in status.json."""
+        exact = filaments._rk4
+
+        def poisoning(rate, like, h):
+            step, calls = exact(rate, like, h), []
+
+            def poisoned(v, t):
+                if len(calls) == 5:  # before the sixth step
+                    v[0, 100] = np.nan
+                calls.append(t)
+                step(v, t)
+            return poisoned
+
+        monkeypatch.setattr(filaments, "_rk4", poisoning)
+        cfg = parse_config_dict(
+            {"scenario": "square", "grid": {"L": 20, "M": 256},
+             "time": {"T": 0.02, "dt": 1e-3, "sample_every": 2}}
+        )
+        report = run(cfg, tmp_path, dump_fields=True)
+        assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
+        dumps = ["fields_t0000.csv", "fields_t0001.csv", "fields_t0002.csv"]
+        assert load_status(tmp_path)["files"] == ["energies.csv", *dumps]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["energies.csv", "status.json", *dumps])
+        rows = (tmp_path / "energies.csv").read_text().splitlines()[1:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert times == pytest.approx([0.0, 0.002, 0.004], abs=1e-15)
+
+    def test_coincident_filaments_exit_3_at_time_0(self, tmp_path):
+        """Field data that put filament 0 on filament 1 at sigma = 0 are a
+        collision before the first step."""
+        cfg = parse_config_dict({"scenario": "square", "grid": {"L": 20.0, "M": 256}})
+        grid = make_grid(cfg.L, cfg.M)
+        x = build_backbone(cfg).positions
+        rows = [np.zeros(grid.num_points, dtype=complex) for _ in range(4)]
+        rows[0][grid.num_points // 2] = x[1] - x[0]  # the node at sigma = 0
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, grid, rows)
+        cfg.pert_kind, cfg.path = "file", str(path)
+        report = run(cfg, tmp_path / "out")
+        assert report.exit_code == EXIT_CODES["CollisionDetected"] == 3
+        status = load_status(tmp_path / "out")
+        assert status["hitting_times"] == {
+            "collision_time": 0.0, "sigma_star": 0.0, "pair": [0, 1]}
+
+    def test_polygon_backbone_runs(self, tmp_path):
+        cfg = parse_config_dict(
+            {"scenario": "square", "config": {"kind": "polygon", "N": 5},
+             "grid": {"L": 20.0, "M": 256}, "time": {"T": 0.02, "dt": 1e-3}}
+        )
+        report = run(cfg, tmp_path)
+        assert report.status == "Completed"
+        assert report.symmetry is None and "tilde_E0" not in report.constants
 
     def test_versions_read_once_per_process(self, monkeypatch):
         calls = []
@@ -664,8 +763,12 @@ class TestCli:
              "COUNT"),
             (["point-vortex"], {"scenario": "point_vortex", "time": {"T": 1e9}}, "time.T",
              "steps"),
+            (["traveling-wave", "--c2", "1.5"], None, "config.c2", "must lie in"),
+            (["traveling-wave", "--sweep", "c2=1.7:1.9:3"], None, "sweep", "must lie in"),
+            (["square"], {"config": {"kind": "polygon", "N": 10**13}}, "config.N", "<="),
         ],
-        ids=["sweep-supersonic", "sweep-nan", "sweep-count", "point-vortex-steps"],
+        ids=["sweep-supersonic", "sweep-nan", "sweep-count", "point-vortex-steps",
+             "c2-below-window", "sweep-below-window", "N-pair-rows"],
     )
     def test_oversized_or_supersonic_run_exits_2_before_allocating(
             self, tmp_path, capsys, args, data, field, reason):
@@ -721,6 +824,24 @@ class TestCli:
         code = main(["reduced", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "perturbation.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,field", [("file", "perturbation.path"), ("parallelogram", "perturbation.kind")],
+        ids=["two-profiles", "parallelogram"],
+    )
+    def test_reduced_needs_one_profile(self, tmp_path, capsys, kind, field):
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, make_grid(10.0, 64), [np.ones(64, dtype=complex)] * 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"L": 10, "M": 64},
+            "time": {"T": 0.01, "dt": 1e-3},
+            "perturbation": {"kind": kind, "path": str(path)},
+        }))
+        code = main(["reduced", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert load_status(tmp_path / "o")["status"] == "ConfigError"
 
     @pytest.mark.parametrize("content,field", [([1, 2], "top level"),
                                                ({"grid": [1]}, "grid")])
