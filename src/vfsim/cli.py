@@ -16,7 +16,8 @@ exit code mirrors the terminal status (0 completed, 2 config error,
 3 collision, 4 energy cap, 5 boundary contamination, 6 numerical
 guard).  Without ``--config`` the scenario's preset defaults are used.
 ``--seed``, ``--omega``, ``--c2``, ``--L`` and ``--M`` set the matching
-config-file value and are validated like it.
+config-file value and are validated like it; a bad one, or a bad
+``--sweep``, exits 2 before any file is written.
 The traveling-wave ``--out`` may name the CSV file directly; for every
 other scenario it names the output directory.
 """
@@ -29,7 +30,7 @@ import sys
 
 from .config import SCENARIOS, parse_config_dict, read_config_json
 from .errors import ConfigError
-from .runner import run
+from .runner import _parse_sweep, run
 
 _SUBCOMMANDS = tuple(name.replace("_", "-") for name in SCENARIOS)
 
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
             if key and value is not None and isinstance(sec, dict):
                 data[section] = {**sec, key: value}
         cfg = parse_config_dict(data, scenario)
+        sweep = getattr(args, "sweep", None)
+        if sweep is not None:  # checked here too, so a bad sweep writes no file
+            _parse_sweep(sweep, cfg.omega)
     except ConfigError as exc:
         print(f"vfsim: config error at {exc.field}: {exc.reason}",
               file=sys.stderr)
@@ -91,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     report = run(
         cfg, out,
         dump_fields=args.dump_fields,
-        sweep=getattr(args, "sweep", None),
+        sweep=sweep,
         out_name=out_name,
     )
     if "error" in report.constants:

@@ -16,6 +16,8 @@ rejected, and every violation raises ConfigError carrying the dotted field
 path.  Every number must be finite, except the two guard levels
 ``energy_cap_factor`` and ``boundary_tol``, where +inf turns the guard off.  The reduced, traveling_wave and helix scenarios use the ``config``
 section for their wave parameters (``omega``, ``c2``) instead of a backbone.
+The collision scenario runs its closed-form profile, so a ``perturbation``
+value other than its preset's is a ConfigError on ``perturbation``.
 """
 
 from __future__ import annotations
@@ -218,6 +220,17 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             attr, parse = keys[key]
             setattr(cfg, attr, parse(value, f"{name}.{key}"))
 
+    if tag == "collision":
+        # the collision carries the closed-form profile; its echo restates
+        # the preset's perturbation, which reads back unchanged
+        preset = scenario_defaults(tag)
+        for key, (attr, _) in SCHEMA["perturbation"].items():
+            if getattr(cfg, attr) != getattr(preset, attr):
+                raise ConfigError(
+                    "perturbation",
+                    f"the collision scenario runs the closed-form collision "
+                    f"profile and takes no perturbation, got {key}={getattr(cfg, attr)!r}",
+                )
     if cfg.kind in _FIXED_N:
         fixed = _FIXED_N[cfg.kind]
         if "N" not in data.get("config", {}):

@@ -7,8 +7,10 @@ so a run can be inspected (and diffed) after the fact.
 
 Guarantees shared by every scenario:
 
-* deterministic output: all randomness flows through
-  ``numpy.random.default_rng(cfg.seed)``, every CSV is written by
+* deterministic output: the only random draws are those of
+  ``numpy.random.default_rng(cfg.seed).uniform``, reproduced bit for bit
+  without numpy.random by ``_pcg64.SeededUniform`` (pinned by
+  ``tests/test_runner.py::TestSeededStream``); every CSV is written by
   ``grid.write_csv`` (ASCII, ``\\n`` line ends, floats with 17 significant
   digits), and nothing time- or host-dependent enters the files, so a
   rerun with the same config is byte identical;
@@ -26,6 +28,7 @@ import os
 import platform
 from dataclasses import asdict, dataclass, field
 from importlib import metadata
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,6 +74,9 @@ from .traveling_wave import (
     residual_tw,
     sweep_waves,
 )
+
+if TYPE_CHECKING:
+    from ._pcg64 import SeededUniform
 
 __all__ = [
     "RunReport",
@@ -215,7 +221,7 @@ def build_backbone(cfg: ScenarioConfig) -> VortexConfig:
     raise ConfigError("config.kind", f"unknown backbone kind {cfg.kind!r}")
 
 
-def _random_bump(rng: np.random.Generator, grid: Grid1D, amp: float,
+def _random_bump(rng: SeededUniform, grid: Grid1D, amp: float,
                  width: float) -> np.ndarray:
     """A decaying complex profile: three modulated Gaussian bumps.
 
@@ -262,7 +268,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
 
     The collision scenario carries the closed-form collision profile
     (``reduced.analytic_collision_phi`` at t = 0) as dilation data on the
-    config's backbone, whatever the perturbation section says.  Otherwise
+    config's backbone (config parsing rejects any other perturbation).  Otherwise
     ``gaussian`` draws an independent random bump profile per filament
     (generic data, scale ``amp``); ``dilation`` is the shared-profile
     ansatz u_j = X_j (phi - 1) with phi a Gaussian bump on background 1
@@ -275,8 +281,16 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     if cfg.scenario == "collision":
         phi = make_field(grid, analytic_collision_phi(0.0, grid.nodes), background=1.0)
         return dilation_state(vortex, phi)
-    if cfg.pert_kind == "gaussian":
-        rng = np.random.default_rng(cfg.seed)
+    if cfg.pert_kind in ("gaussian", "parallelogram"):
+        # imported on use: only the seeded kinds compile the stream
+        from ._pcg64 import SeededUniform
+
+        rng = SeededUniform(cfg.seed)
+        if cfg.pert_kind == "parallelogram":
+            ga = _random_bump(rng, grid, cfg.amp, cfg.width)
+            gb = _random_bump(rng, grid, cfg.amp, cfg.width)
+            fields = [make_field(grid, v) for v in (ga, gb, -ga, -gb)]
+            return filament_state(fields, vortex, symmetry=point_reflection())
         fields = [
             make_field(grid, _random_bump(rng, grid, cfg.amp, cfg.width))
             for _ in range(vortex.count)
@@ -285,12 +299,6 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     if cfg.pert_kind == "dilation":
         phi = make_field(grid, 1.0 + _gaussian_profile(cfg, grid), background=1.0)
         return dilation_state(vortex, phi)
-    if cfg.pert_kind == "parallelogram":
-        rng = np.random.default_rng(cfg.seed)
-        ga = _random_bump(rng, grid, cfg.amp, cfg.width)
-        gb = _random_bump(rng, grid, cfg.amp, cfg.width)
-        fields = [make_field(grid, v) for v in (ga, gb, -ga, -gb)]
-        return filament_state(fields, vortex, symmetry=point_reflection())
     if cfg.pert_kind == "file":
         fields = [make_field(grid, a) for a in _read_field_file(cfg.path, grid)]
         return filament_state(fields, vortex)
@@ -369,9 +377,9 @@ def _stream(cfg: ScenarioConfig, out_dir, dump_fields: bool, samples,
     """Consume a run's (fields, row, halt) samples, fields None for a halt
     that keeps the sample before it: dump each sample's fields as they
     arrive if asked, then drop them, and write the rows to energies.csv once
-    with ``write_rows``.  The report is ``finish(rows, last halt)``, or
-    ``_error_report`` with the files so far for a guard raised after the
-    first sample (one raised before it propagates)."""
+    with ``write_rows``.  The report is ``finish(rows, last halt)``; a guard
+    raised after the first sample sets its status and hitting time on that
+    report through ``_error_report`` (one raised before it propagates)."""
     rows, files, halt, raised = [], ["energies.csv"], None, None
     try:
         for fields, row, halt in samples:
@@ -387,7 +395,9 @@ def _stream(cfg: ScenarioConfig, out_dir, dump_fields: bool, samples,
             raise
         raised = exc
     write_rows(os.path.join(out_dir, "energies.csv"), rows)
-    report = finish(rows, halt) if raised is None else _error_report(cfg, raised)
+    report = finish(rows, halt)
+    if raised is not None:
+        _error_report(cfg, raised, report)
     report.files = files
     return report
 
@@ -562,10 +572,16 @@ _DISPATCH = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def _error_report(cfg: ScenarioConfig, exc: VfsimError) -> RunReport:
-    """The report of a run that a raised guard or error ended."""
+def _error_report(cfg: ScenarioConfig, exc: VfsimError,
+                  report: RunReport | None = None) -> RunReport:
+    """The report of a run that a raised guard or error ended: ``report``,
+    the run's own report of its samples if it kept any, with the status
+    and hitting time of ``exc``."""
     name = type(exc).__name__
-    report = _base_report(cfg, name if name in EXIT_CODES else "NumericalGuard")
+    status = name if name in EXIT_CODES else "NumericalGuard"
+    if report is None:
+        report = _base_report(cfg, status)
+    report.status, report.exit_code = status, EXIT_CODES[status]
     report.constants["error"] = str(exc)
     if isinstance(exc, BoundaryContaminated):  # raised by a reduced run only
         report.hitting_times["halt_time"] = exc.time

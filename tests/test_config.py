@@ -14,7 +14,8 @@ Covered here:
   * file handling: JSON round trip, unreadable paths, invalid JSON,
   * the schema: the empty file is each scenario's preset, every number
     is finite except the two guard levels (+inf turns them off), M has
-    make_grid's lower bound, and the echo reads back as the same config.
+    make_grid's lower bound, a collision refuses any perturbation value
+    other than its preset's, and the echo reads back as the same config.
 """
 
 import dataclasses
@@ -294,6 +295,15 @@ class TestSchema:
     def test_null_only_where_the_default_is(self):
         assert err({"scenario": "square", "config": {"R": None}}).field == "config.R"
         assert err({"scenario": "square", "perturbation": {"path": 3}}).field == "perturbation.path"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("kind", "gaussian"), ("amp", 0.1), ("width", 2.0), ("center", 1.0),
+         ("seed", 1), ("path", "fields.csv")],
+    )
+    def test_collision_takes_no_perturbation(self, key, value):
+        e = err({"scenario": "collision", "perturbation": {key: value}})
+        assert e.field == "perturbation" and key in e.reason
 
     def test_echo_reads_back_as_the_same_config(self):
         echo = config_echo(scenario_defaults("collision"))

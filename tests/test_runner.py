@@ -5,6 +5,10 @@ Covered here:
     perturbation kinds with determinism, antisymmetry and file round
     trip, grid mismatch rejection, the collision preset's state equal to
     ``collision_initial_state``,
+  * the seeded stream: ``SeededUniform`` draws numpy's
+    ``default_rng(seed).uniform`` bit for bit, the seeded states are the
+    numpy-drawn ones, and a seeded CLI run loads neither numpy.random,
+    OpenSSL's ``_hashlib`` nor scipy,
   * per-scenario runs on small grids: emitted files, status.json
     structure (status, constants, versions, acceptance tag, symmetry
     tag), exit codes, the scipy version read once per process, the drifts
@@ -14,7 +18,8 @@ Covered here:
     time, a reduced run that leaves its box to exit code 5 with the
     samples before the halt in energies.csv, a collision halt right after
     a sample keeps that sample once, a NumericalGuard raised inside a
-    filament step keeps the samples and dumps before it, coincident
+    filament step keeps the samples and dumps before it and reports their
+    symmetry tag and drifts, coincident
     field data exit 3 at t = 0, the collision runs its config's backbone
     (R, N, gamma0),
     config problems discovered at run time map to exit code 2, NaN data
@@ -26,7 +31,9 @@ Covered here:
     and every bad number, flag or field file exits 2 naming its field; a
     supersonic, NaN, oversized or too slow sweep or c2, an oversized
     point-vortex run and an oversized config.N exit 2 before they allocate,
-    and a reduced run refuses two profiles and parallelogram data,
+    a bad sweep and a bad c2 exit 2 alike with no status.json, a collision
+    refuses a perturbation, and a reduced run refuses two profiles and
+    parallelogram data,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module.
 """
@@ -40,9 +47,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import vfsim
-from vfsim import filaments, runner
+from vfsim import _pcg64, filaments, runner
+from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
 from vfsim.config import SCHEMA, ScenarioConfig, parse_config_dict, scenario_defaults
 from vfsim.errors import ConfigError
@@ -165,6 +175,55 @@ class TestBuildFilamentState:
         cfg = ScenarioConfig(scenario="square", pert_kind="file", path=str(path))
         with pytest.raises(ConfigError):
             build_filament_state(cfg, GRID)
+
+
+class TestSeededStream:
+    """``SeededUniform`` is ``numpy.random.default_rng(seed).uniform``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**200 - 1), st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    def test_draws_are_numpys(self, seed, a, b):
+        assume(a != b)
+        lo, hi = min(a, b), max(a, b)
+        ours, theirs = SeededUniform(seed), np.random.default_rng(seed)
+        drawn = [ours.uniform(lo, hi).hex() for _ in range(20)]
+        assert drawn == [theirs.uniform(lo, hi).hex() for _ in range(20)]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 1])
+    @pytest.mark.parametrize("kind", ["gaussian", "parallelogram"])
+    def test_state_is_the_numpy_drawn_state(self, monkeypatch, kind, seed):
+        backbone = "hexagon" if kind == "gaussian" else "square"
+        cfg = parse_config_dict({"scenario": "square", "config": {"kind": backbone},
+                                 "perturbation": {"kind": kind, "seed": seed}})
+        state = build_filament_state(cfg, GRID)
+        monkeypatch.setattr(_pcg64, "SeededUniform", np.random.default_rng)
+        drawn = build_filament_state(cfg, GRID)
+        assert state.symmetry == drawn.symmetry
+        assert len(state.u) == len(drawn.u) == (6 if kind == "gaussian" else 4)
+        for ours, theirs in zip(state.u, drawn.u):
+            assert ours.values.tobytes() == theirs.values.tobytes()
+
+    def test_seeded_cli_run_loads_no_numpy_random(self, tmp_path):
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps({
+            "scenario": "square", "config": {"kind": "hexagon"},
+            "grid": {"L": 20.0, "M": 256},
+            "perturbation": {"kind": "gaussian", "amp": 0.01, "seed": 3},
+            "time": {"T": 0.01, "dt": 1e-3},
+        }))
+        code = (
+            "import sys\n"
+            "import vfsim.cli\n"
+            "code = vfsim.cli.main(['square', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, [m for m in ('numpy.random', '_hashlib', 'scipy') if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(vfsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +529,40 @@ class TestScenarioRuns:
         times = [float(r.split(",")[0]) for r in rows]
         assert times == pytest.approx([0.0, 0.002, 0.004], abs=1e-15)
 
+    def test_filament_guard_reports_its_samples(self, tmp_path, monkeypatch):
+        """The report of a run that a raised guard ends after its first
+        sample is the run's own report of the kept rows, with the guard's
+        status: the symmetry tag and the drifts of H and A over those rows."""
+        exact = filaments._rk4
+
+        def poisoning(rate, like, h):
+            step, calls = exact(rate, like, h), []
+
+            def poisoned(v, t):
+                if len(calls) == 5:  # before the sixth step
+                    v[0, 100] = np.nan
+                calls.append(t)
+                step(v, t)
+            return poisoned
+
+        monkeypatch.setattr(filaments, "_rk4", poisoning)
+        cfg = parse_config_dict(
+            {"scenario": "square", "grid": {"L": 20, "M": 256},
+             "perturbation": {"kind": "parallelogram"},
+             "time": {"T": 0.02, "dt": 1e-3, "sample_every": 2}}
+        )
+        report = run(cfg, tmp_path)
+        assert (report.status, report.exit_code) == ("NumericalGuard", 6)
+        status = load_status(tmp_path)
+        assert status["symmetry"] == "point_reflection"
+        assert status["hitting_times"] == {}
+        assert status["constants"]["error"]
+        rows = [[float(x) for x in r.split(",")]
+                for r in (tmp_path / "energies.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        for name, col in (("drift_H", 1), ("drift_A", 2)):
+            assert status["constants"][name] == max(abs(r[col] - rows[0][col]) for r in rows)
+
     def test_coincident_filaments_exit_3_at_time_0(self, tmp_path):
         """Field data that put filament 0 on filament 1 at sigma = 0 are a
         collision before the first step."""
@@ -753,6 +846,32 @@ class TestCli:
             argv += ["--config", str(path)]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--sweep", "c2=1.7:1.9:3", "sweep"), ("--c2", "1.5", "config.c2")],
+    )
+    def test_bad_sweep_and_bad_c2_end_alike(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "d"
+        assert main(["traveling-wave", flag, value, "--out", str(out / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"vfsim: config error at {field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,data",
+        [(["collision", "--seed", "3"], None),
+         (["collision"], {"perturbation": {"amp": 0.1}})],
+        ids=["seed-flag", "amp"],
+    )
+    def test_collision_perturbation_exits_2(self, tmp_path, capsys, args, data):
+        argv = args + ["--out", str(tmp_path / "o")]
+        if data is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(data))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("vfsim: config error at perturbation: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "args,data,field,reason",
