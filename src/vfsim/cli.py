@@ -17,7 +17,8 @@ exit code mirrors the terminal status (0 completed, 2 config error,
 guard).  Without ``--config`` the scenario's preset defaults are used.
 ``--seed``, ``--omega``, ``--c2``, ``--L`` and ``--M`` set the matching
 config-file value and are validated like it; a bad one, or a bad
-``--sweep``, exits 2 before any file is written.
+``--sweep``, exits 2 before any file is written, and so does an output
+directory that cannot be created.
 The traveling-wave ``--out`` may name the CSV file directly; for every
 other scenario it names the output directory.
 """
@@ -81,16 +82,18 @@ def main(argv: list[str] | None = None) -> int:
         sweep = getattr(args, "sweep", None)
         if sweep is not None:  # checked here too, so a bad sweep writes no file
             _parse_sweep(sweep, cfg.omega)
+        out, out_name = args.out, None
+        if scenario == "traveling_wave" and out.endswith(".csv"):
+            out_name = os.path.basename(out)
+            out = os.path.dirname(out) or "."
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot create the output directory: {exc}") from None
     except ConfigError as exc:
         print(f"vfsim: config error at {exc.field}: {exc.reason}",
               file=sys.stderr)
         return 2
-
-    out = args.out
-    out_name = None
-    if scenario == "traveling_wave" and out.endswith(".csv"):
-        out_name = os.path.basename(out)
-        out = os.path.dirname(out) or "."
 
     report = run(
         cfg, out,

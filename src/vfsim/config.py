@@ -237,6 +237,18 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             cfg.N = fixed
         elif cfg.N != fixed:
             raise ConfigError("config.N", f"kind {cfg.kind!r} fixes N={fixed}, got {cfg.N}")
+    if tag == "stability" and not 3 <= cfg.N <= 10:
+        raise ConfigError("config.N", f"the stability sweep covers N = 3..10, got {cfg.N}")
+    # a filament run holds n(n - 1)/2 pair rows of M points (n counts a
+    # centre) and a helix N fields of M; either stays within the largest table
+    # the grid bound admits, the square's 6 pair rows at M = MAX_POINTS
+    n = cfg.N + (cfg.kind in ("polygon_center", "segment"))
+    rows = {"square": n * (n - 1) // 2, "collision": n * (n - 1) // 2, "helix": cfg.N}
+    if rows.get(tag, 0) * cfg.M > 6 * MAX_POINTS:
+        raise ConfigError(
+            "config.N", f"N = {cfg.N} makes {rows[tag]} rows of M = {cfg.M} points; "
+            f"rows x M must be <= {6 * MAX_POINTS}",
+        )
     if tag in ("traveling_wave", "helix"):
         _require_subsonic(cfg.c2, cfg.omega, "config.c2")
     if cfg.M % 2 != 0:

@@ -163,13 +163,31 @@ def _b_scalar(eta: float, params: WaveParams) -> float:
     return a / sq
 
 
+def _bisect(func, lo: float, hi: float, tol: float = 0.0) -> float:
+    """Bisect func, taken positive at lo and <= 0 at hi (neither is evaluated):
+    the first midpoint with |func| < tol, else hi once lo and hi are adjacent."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        value = func(mid)
+        if abs(value) < tol:
+            return mid
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def find_sigma1(params: WaveParams) -> float:
     """Smallest positive root of a, via bisection on b over (0, sigma0].
 
     b(0) = 2 omega - c^2 > 0 and b(sigma0) < 0, so a sign change is bracketed;
     b is checked to be strictly decreasing on the bracket first (NotMonotone
-    otherwise, NoRoot if the endpoint sign is wrong).  The returned sigma1
-    satisfies |b(sigma1)| < 1e-14.
+    otherwise, NoRoot if the endpoint sign is wrong).  The returned sigma1 is
+    the first bisection midpoint with |b| < ROOT_TOL = 1e-14 or, when no
+    midpoint meets that, the float where the computed b changes sign:
+    b(sigma1) <= 0 < b(the float below sigma1).
     """
     s0 = params.sigma0
     samples = b_of(np.linspace(0.0, s0, 201), params)
@@ -177,22 +195,7 @@ def find_sigma1(params: WaveParams) -> float:
         raise NotMonotone(f"b is not strictly decreasing on [0, {s0:.6g}]")
     if samples[-1] > 0.0:
         raise NoRoot(f"b({s0:.6g}) = {samples[-1]:.6g} > 0: no bracketed root")
-    lo, hi = 0.0, s0
-    mid = 0.5 * s0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        bm = _b_scalar(mid, params)
-        if abs(bm) < ROOT_TOL:
-            return mid
-        if bm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-17:
-            break
-    if abs(bm) < 10.0 * ROOT_TOL:
-        return mid
-    raise NoRoot(f"bisection stalled at {mid:.17g} with b = {bm:.3g}")
+    return _bisect(lambda eta: _b_scalar(eta, params), 0.0, s0, ROOT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,8 @@ def find_sigma1(params: WaveParams) -> float:
 # Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4): RMS error norm,
 # safety 0.9, step factors in [0.2, 10].  Constants and operation order follow
 # scipy's RK45 line for line, so a shot takes solve_ivp's steps bit for bit; its
-# dense output adds the four terms in order, not through np.dot as scipy does.
+# dense output adds the four terms in order, not through np.dot as scipy does,
+# and its event is bisected on the step's quartic, not located by brentq.
 _DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
 _DP_A = np.array([
     [0, 0, 0, 0, 0],
@@ -232,7 +236,6 @@ _DP_P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
-_EVENT_TOL = 4.0 * np.finfo(float).eps
 
 
 def _rms(x: np.ndarray) -> float:
@@ -262,59 +265,18 @@ class _Shot:
         node on an edge belongs to the earlier step.
         """
         step = np.clip(np.searchsorted(self.edges, t) - 1, 0, len(self.pieces) - 1)
-        t_old, h, y_old, q = (np.array(part)[step] for part in zip(*self.pieces))
-        x = ((t - t_old) / h)[..., None]
-        power = x
-        y = q[..., 0] * power
-        for i in range(1, 4):
-            power = power * x
-            y += q[..., i] * power
-        return (h[..., None] * y + y_old).T
+        return _quartic(t, *(np.array(part)[step] for part in zip(*self.pieces))).T
 
 
-def _brent_root(func, xpre: float, xcur: float) -> float:
-    """Root of func between xpre and xcur to _EVENT_TOL (absolute plus relative).
-
-    Brent's method (Algorithms for Minimization without Derivatives, 1973) in
-    the form of scipy.optimize.brentq.
-    """
-    fpre, fcur = func(xpre), func(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0 or (fpre < 0.0) == (fcur < 0.0):
-        return xcur  # (a lost sign change is a crossing at the step end)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = func(xcur)
-    return xcur
+def _quartic(t, t_old, h, y_old, q):
+    """The dense output at t of the piece (t_old, h, y_old, q), or of one piece per node."""
+    x = np.expand_dims((t - t_old) / h, -1)
+    power = x
+    y = q[..., 0] * power
+    for i in range(1, 4):
+        power = power * x
+        y += q[..., i] * power
+    return np.expand_dims(h, -1) * y + y_old
 
 
 def _dormand_prince(fun, t0: float, y0, t_bound: float, rtol: float, atol: float,
@@ -323,8 +285,8 @@ def _dormand_prince(fun, t0: float, y0, t_bound: float, rtol: float, atol: float
 
     Each step's local error estimate is held below atol + rtol |y| in the RMS
     norm.  With an event function the run stops at the first step where
-    event(t, y) falls from >= 0 to <= 0; the crossing is located on that
-    step's interpolant and stored as t_event.  A step shorter than 10 ulp of
+    event(t, y) falls from >= 0 to <= 0, and t_event is the first float where
+    it is <= 0 on that step's interpolant.  A step shorter than 10 ulp of
     t ends the run with ok = False.
     """
     def f(t, y):
@@ -379,9 +341,8 @@ def _dormand_prince(fun, t0: float, y0, t_bound: float, rtol: float, atol: float
         if event is not None:
             g_new = event(t, y)
             if g >= 0 and g_new <= 0:
-                shot.t_event = _brent_root(
-                    lambda s: event(s, shot(s)), shot.pieces[-1][0], t
-                )
+                piece = shot.pieces[-1]
+                shot.t_event = _bisect(lambda s: event(s, _quartic(s, *piece)), piece[0], t)
                 shot.edges.append(shot.t_event)
                 return shot
             g = g_new

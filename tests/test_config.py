@@ -159,6 +159,26 @@ class TestFieldValidation:
         )
         assert cfg.N == 7
 
+    @pytest.mark.parametrize(
+        "scenario,config,largest",
+        [("square", {"kind": "polygon"}, 4), ("collision", {}, 3), ("helix", {}, 6)],
+        ids=["square", "collision-with-centre", "helix"],
+    )
+    def test_table_bound_at_the_largest_grid(self, scenario, config, largest):
+        """At M = MAX_POINTS a run may hold the square's 6 pair rows: 4
+        filaments, 3 around a centre, or 6 helix fields."""
+        data = {"scenario": scenario, "grid": {"M": MAX_POINTS}}
+        ok = parse_config_dict({**data, "config": {**config, "N": largest}})
+        assert ok.N == largest and ok.M == MAX_POINTS
+        e = err({**data, "config": {**config, "N": largest + 1}})
+        assert e.field == "config.N" and "<=" in e.reason
+
+    @pytest.mark.parametrize("outside,edge", [(2, 3), (11, 10)])
+    def test_stability_n_is_the_sweeps(self, outside, edge):
+        """The stability run sweeps N = 3..10 and reports the config's N."""
+        assert err({"scenario": "stability", "config": {"N": outside}}).field == "config.N"
+        assert parse_config_dict({"scenario": "stability", "config": {"N": edge}}).N == edge
+
     def test_unknown_backbone_kind(self):
         assert err({"scenario": "square", "config": {"kind": "star"}}).field == "config.kind"
 

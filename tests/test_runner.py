@@ -873,6 +873,34 @@ class TestCli:
         assert capsys.readouterr().err.startswith("vfsim: config error at perturbation: ")
         assert not (tmp_path / "o").exists()
 
+    def test_waves_where_no_midpoint_meets_the_root_tolerance_complete(self, tmp_path):
+        out = tmp_path / "w"
+        assert main(["traveling-wave", "--omega", "2", "--c2", "3.988", "--out", str(out)]) == 0
+        assert load_status(out)["constants"]["residual"] < 1e-6
+        sweep = tmp_path / "d" / "s.csv"
+        assert main(["traveling-wave", "--sweep", "c2=1.9999:1.99:5", "--out", str(sweep)]) == 0
+        assert len(sweep.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_stability_n_outside_the_sweep_exits_2(self, tmp_path, capsys, n):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"config": {"kind": "polygon", "N": n}}))
+        out = tmp_path / "o"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("vfsim: config error at config.N: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,out", [(["stability"], "F"), (["traveling-wave"], "F/p.csv")],
+    )
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, args, out):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        assert main(args + ["--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("vfsim: config error at out: ")
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
     @pytest.mark.parametrize(
         "args,data,field,reason",
         [
@@ -906,6 +934,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert field in err and reason in err
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "args,data",
+        [(["square"], {"config": {"kind": "polygon", "N": 3000}}),
+         (["collision"], {"config": {"N": 3000}}),
+         (["helix"], {"config": {"N": 5000}})],
+        ids=["square", "collision-with-centre", "helix"],
+    )
+    def test_pair_table_beyond_the_grid_bound_exits_2_before_allocating(
+            self, tmp_path, capsys, args, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(args + ["--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config.N" in err and "<=" in err
+        assert peak < 2**20
+        assert not out.exists()
 
     def test_grid_too_large_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

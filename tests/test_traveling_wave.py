@@ -3,7 +3,8 @@
 Verified here:
   * parameter validation of the admissible speed window,
   * the potential a and its normalized form b (series/direct consistency),
-  * the turning point sigma1 against an independent bisection oracle,
+  * the turning point sigma1 against an independent bisection oracle, and
+    the bisection that finds it and the shot's event,
   * the amplitude shot: evenness, monotonicity, positivity, first integral,
     exponential tail with the predicted rate,
   * the private Dormand-Prince shooter against closed forms (decay, the
@@ -36,6 +37,7 @@ from vfsim.traveling_wave import (
     SWITCH_FRACTION,
     WaveParams,
     _b_scalar,
+    _bisect,
     _dormand_prince,
     a_of,
     b_of,
@@ -201,6 +203,39 @@ class TestFindSigma1:
             for c2 in (1.98, 1.94, 1.90)
         ]
         assert roots[0] < roots[1] < roots[2], f"sigma1 not increasing: {roots}"
+
+    @pytest.mark.parametrize(
+        "omega, c2",
+        [(1.0, 1.9992), (1.0, 1.9994), (1.0, 1.9996), (1.0, 1.9997), (1.0, 1.9998),
+         (1.0, 1.9999), (2.0, 3.988), (2.0, 3.994), (7.0, 13.909)],
+    )
+    def test_sign_change_when_no_midpoint_meets_the_tolerance(self, omega, c2):
+        """Near c^2 = 2 omega the computed b is too noisy for |b| < 1e-14 at
+        any midpoint; sigma1 is then where the computed b changes sign."""
+        p = WaveParams(omega=omega, c=float(np.sqrt(c2)))
+        s1 = find_sigma1(p)
+        assert 0.0 < s1 < p.sigma0
+        assert _b_scalar(s1, p) <= 0.0 < _b_scalar(float(np.nextafter(s1, 0.0)), p)
+
+
+class TestBisect:
+    def test_positive_func_returns_hi(self):
+        # the crossing the step's end saw is lost on the interpolant
+        assert _bisect(lambda x: 1.0, 0.0, 3.0) == 3.0
+
+    def test_first_float_at_or_below_zero(self):
+        root = _bisect(lambda x: 0.7 - x, 0.0, 1.0)
+        assert 0.7 - root <= 0.0 < 0.7 - float(np.nextafter(root, 0.0))
+
+    def test_first_midpoint_within_tol(self):
+        mids = []
+
+        def func(x):
+            mids.append(x)
+            return 0.3 - x
+
+        assert _bisect(func, 0.0, 1.0, tol=0.01) == mids[-1] == 0.296875
+        assert [abs(0.3 - x) < 0.01 for x in mids] == [False] * (len(mids) - 1) + [True]
 
 
 class TestAmplitudeShot:
