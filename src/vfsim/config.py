@@ -14,7 +14,9 @@ sections::
 Every key is optional (scenario presets fill the rest), unknown keys are
 rejected, and every violation raises ConfigError carrying the dotted field
 path.  Every number must be finite, except the two guard levels
-``energy_cap_factor`` and ``boundary_tol``, where +inf turns the guard off.  The reduced, traveling_wave and helix scenarios use the ``config``
+``energy_cap_factor`` and ``boundary_tol``, where +inf turns the guard off,
+and the scales ``R``, ``gamma``, ``omega`` and ``c2`` lie in [1e-100, 1e100]
+and ``|gamma0|`` <= 1e100.  The reduced, traveling_wave and helix scenarios use the ``config``
 section for their wave parameters (``omega``, ``c2``) instead of a backbone.
 The collision scenario runs its closed-form profile, so a ``perturbation``
 value other than its preset's is a ConfigError on ``perturbation``.
@@ -100,7 +102,8 @@ def _reject_unknown(section: dict, known, where: str) -> None:
             raise ConfigError(f"{where}.{key}" if where else key, "unknown key")
 
 
-def _number(positive: bool = True, finite: bool = True, optional: bool = False):
+def _number(positive: bool = True, finite: bool = True, optional: bool = False,
+            scale: tuple[float, float] | None = None):
     def parse(value, where: str) -> float | None:
         if optional and value is None:
             return None
@@ -114,6 +117,8 @@ def _number(positive: bool = True, finite: bool = True, optional: bool = False):
             raise ConfigError(where, f"must be finite, got {value}")
         if positive and not value > 0:
             raise ConfigError(where, f"must be positive, got {value}")
+        if scale is not None and not scale[0] <= abs(value) <= scale[1]:
+            raise ConfigError(where, f"|value| must lie in [{scale[0]:g}, {scale[1]:g}], got {value}")
         return value
     return parse
 
@@ -146,6 +151,10 @@ def _choice(allowed: tuple[str, ...]):
 
 _POSITIVE = _number()
 _REAL = _number(positive=False)
+# Backbone and wave scales: at 1e-100 and 1e100 every scenario still ends with
+# its own status, while 1e-200 and 1e200 end in a division by zero, an overflow
+# or an SVD that does not converge.
+_SCALE = _number(scale=(1e-100, 1e100))
 
 # The run-input schema: section -> key -> (ScenarioConfig attribute, parser).
 # parse_config_dict reads files through it and config_echo writes it back.
@@ -155,11 +164,11 @@ SCHEMA = {
         "kind": ("kind", _choice(BACKBONE_KINDS)),
         # the N(N - 1)/2 filament pairs stay within MAX_POINTS rows
         "N": ("N", _integer(2, (1 + math.isqrt(1 + 8 * MAX_POINTS)) // 2)),
-        "R": ("R", _POSITIVE),
-        "gamma": ("gamma", _POSITIVE),
-        "gamma0": ("gamma0", _number(positive=False, optional=True)),
-        "omega": ("omega", _POSITIVE),
-        "c2": ("c2", _POSITIVE),
+        "R": ("R", _SCALE),
+        "gamma": ("gamma", _SCALE),
+        "gamma0": ("gamma0", _number(positive=False, optional=True, scale=(0.0, 1e100))),
+        "omega": ("omega", _SCALE),
+        "c2": ("c2", _SCALE),
     },
     "grid": {
         "L": ("L", _POSITIVE),

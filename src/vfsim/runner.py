@@ -244,9 +244,9 @@ def _random_bump(rng: SeededUniform, grid: Grid1D, amp: float,
     return vals
 
 
-def _read_field_file(path, grid: Grid1D) -> list[np.ndarray]:
-    """The field arrays of the ``perturbation.path`` CSV, checked against
-    the grid; any failure is a ConfigError on that path."""
+def _read_field_file(path, grid: Grid1D, count: int) -> list[np.ndarray]:
+    """The count field arrays of the ``perturbation.path`` CSV, checked
+    against the grid; any failure is a ConfigError on that path."""
     try:
         sigma, arrays = read_fields_csv(path)
     except (OSError, ValueError) as exc:
@@ -256,6 +256,8 @@ def _read_field_file(path, grid: Grid1D) -> list[np.ndarray]:
             "perturbation.path",
             f"fields in {path} do not match the configured grid",
         )
+    if len(arrays) != count:
+        raise ConfigError("perturbation.path", f"{path} holds {len(arrays)} fields, not {count}")
     return arrays
 
 
@@ -300,7 +302,8 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
         phi = make_field(grid, 1.0 + _gaussian_profile(cfg, grid), background=1.0)
         return dilation_state(vortex, phi)
     if cfg.pert_kind == "file":
-        fields = [make_field(grid, a) for a in _read_field_file(cfg.path, grid)]
+        arrays = _read_field_file(cfg.path, grid, vortex.count)
+        fields = [make_field(grid, a) for a in arrays]
         return filament_state(fields, vortex)
     raise ConfigError("perturbation.kind", f"unknown kind {cfg.pert_kind!r}")
 
@@ -344,12 +347,7 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         values = 1.0 + _gaussian_profile(cfg, grid)
         phi = make_field(grid, values.astype(np.complex128), background=1.0)
     elif cfg.pert_kind == "file":
-        arrays = _read_field_file(cfg.path, grid)
-        if len(arrays) != 1:
-            raise ConfigError(
-                "perturbation.path", f"{cfg.path} does not hold a single profile"
-            )
-        phi = make_field(grid, arrays[0], background=1.0)
+        phi = make_field(grid, _read_field_file(cfg.path, grid, 1)[0], background=1.0)
     else:
         raise ConfigError(
             "perturbation.kind",

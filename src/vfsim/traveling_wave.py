@@ -6,13 +6,15 @@ whose amplitude solves the planar Hamiltonian system
     eta'' = 2 omega ln(1 - eta) - (c^2 - 4 omega) eta,   eta(0) = sigma1, eta'(0) = 0,
 
 with first integral (eta')^2 = a(eta), and whose phase obeys the Madelung relation
-(1 - eta) theta' = c eta / 2.  The turning point sigma1 is the smallest positive
-root of a, located by bisection on b = a / eta^2.  The amplitude is shot with a
-private Dormand-Prince 5(4) integrator (Dormand & Prince, J. Comput. Appl.
-Math. 6, 1980) with RK45 step control, Shampine's quartic dense output and one
-terminal event, so the module needs numpy only.  The module also provides the
-explicit Gross-Pitaevskii soliton with the same speed (a near-miss profile used
-as a negative control) and helical multi-filament fields built from a profile.
+(1 - eta) theta' = c eta / 2.  b = a / eta^2 has one evaluator: below a cut at
+0.3 it sums its series, whose terms are all positive, and above it the closed
+form, each within a few ulp of 4 omega of the exact b.  The turning point
+sigma1, the smallest positive root of a, is the float where b changes sign.
+The amplitude is shot with a private Dormand-Prince 5(4) integrator (Dormand
+& Prince, J. Comput. Appl. Math. 6, 1980) with RK45 step control, Shampine's
+quartic dense output and one terminal event, so the module needs numpy only.
+The module also provides the explicit Gross-Pitaevskii soliton with the same
+speed (a near-miss control) and helical multi-filament fields built from a profile.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ from .reduced import lattice_wavenumber
 DEFAULT_WAVE_HALF_LENGTH = 256.0
 DEFAULT_WAVE_MODES = 65536
 
-# Bisection stops when |b| drops below this at the midpoint.
-ROOT_TOL = 1e-14
+# b sums its series below the cut (sigma0 < 0.3 under the default window, so
+# find_sigma1 and the shot sum only the series) with the coefficients
+# 1 / ((m + 1)(m + 2)), m = 32 down to 1: at the cut the rest is 1e-20 of the sum.
+_SERIES_CUT = 0.3
+_SERIES_COEFFS = tuple(1.0 / ((m + 1) * (m + 2)) for m in range(32, 0, -1))
 
 # The amplitude equation switches from the second-order form to the
 # first-integral form once eta falls below this fraction of sigma1.  Past the
@@ -114,23 +119,26 @@ class WaveProfile:
 
 
 def a_of(eta, params: WaveParams):
-    """Potential a(eta) = -(c^2 - 4 omega) eta^2 + 4 omega ((eta - 1) ln(1 - eta) - eta).
-
-    Vectorized; below eta = 1e-4 the series
-    (2 omega - c^2) eta^2 - (2 omega / 3) eta^3 - (omega / 3) eta^4 is used to
-    dodge the cancellation of the direct form.  Arguments must lie in [0, 1).
-    """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0.0) or np.any(eta >= 1.0):
-        raise DomainError("a(eta) requires 0 <= eta < 1")
-    om, c2 = params.omega, params.c**2
-    small = eta < 1e-4
-    direct = (4.0 * om - c2) * eta**2 + 4.0 * om * (
-        (eta - 1.0) * np.log1p(-np.where(small, 0.0, eta)) - eta
-    )
-    series = eta**2 * (params.gap - (2.0 * om / 3.0) * eta - (om / 3.0) * eta**2)
-    out = np.where(small, series, direct)
+    """Potential a(eta) = -(c^2 - 4 omega) eta^2 + 4 omega ((eta - 1) ln(1 - eta) - eta),
+    vectorized, as eta^2 b(eta); arguments must lie in [0, 1)."""
+    out = np.square(eta, dtype=float) * b_of(eta, params)
     return out if out.ndim else float(out)
+
+
+def _b_series(eta, params: WaveParams):
+    """b = (2 omega - c^2) - 4 omega sum_{m >= 1} eta^m / ((m + 1)(m + 2)),
+    summed by Horner's rule on a float or an array."""
+    total = 0.0
+    for coeff in _SERIES_COEFFS:
+        total = (total + coeff) * eta
+    return params.gap - 4.0 * params.omega * total
+
+
+def _b_closed(eta, params: WaveParams):
+    """b = a / eta^2 with a in closed form, for eta > 0."""
+    om, sq = params.omega, eta * eta
+    a = (4.0 * om - params.c**2) * sq + 4.0 * om * ((eta - 1.0) * np.log1p(-eta) - eta)
+    return a / sq
 
 
 def b_of(eta, params: WaveParams):
@@ -138,29 +146,15 @@ def b_of(eta, params: WaveParams):
     eta = np.asarray(eta, dtype=float)
     if np.any(eta < 0.0) or np.any(eta >= 1.0):
         raise DomainError("b(eta) requires 0 <= eta < 1")
-    om = params.omega
-    small = eta < 1e-4
-    safe = np.where(small, 0.5, eta)
-    direct = np.asarray(a_of(safe, params)) / safe**2
-    series = params.gap - (2.0 * om / 3.0) * eta - (om / 3.0) * eta**2
-    out = np.where(small, series, direct)
+    small = eta < _SERIES_CUT
+    out = np.where(small, _b_series(eta, params), _b_closed(np.where(small, 0.5, eta), params))
     return out if out.ndim else float(out)
 
 
 def _b_scalar(eta: float, params: WaveParams) -> float:
-    """b_of at one float in [0, 1), with b_of's operations in b_of's order.
-
-    The shot's stages and find_sigma1's bisection call b on floats; this
-    skips the 0-d array overhead of b_of, which was half the shot's time.
-    """
-    om = params.omega
-    sq = eta * eta
-    if eta < 1e-4:
-        return params.gap - (2.0 * om / 3.0) * eta - (om / 3.0) * sq
-    a = (4.0 * om - params.c**2) * sq + 4.0 * om * (
-        (eta - 1.0) * float(np.log1p(-eta)) - eta
-    )
-    return a / sq
+    """b_of at one float in [0, 1), by b_of's operations: the shot and find_sigma1
+    call b on floats, and b_of's 0-d arrays were half the shot's time."""
+    return _b_series(eta, params) if eta < _SERIES_CUT else float(_b_closed(eta, params))
 
 
 def _bisect(func, lo: float, hi: float, tol: float = 0.0) -> float:
@@ -180,14 +174,11 @@ def _bisect(func, lo: float, hi: float, tol: float = 0.0) -> float:
 
 
 def find_sigma1(params: WaveParams) -> float:
-    """Smallest positive root of a, via bisection on b over (0, sigma0].
+    """Smallest positive root of a: the float where b changes sign,
+    b(sigma1) <= 0 < b(the float below sigma1), bisected on (0, sigma0].
 
-    b(0) = 2 omega - c^2 > 0 and b(sigma0) < 0, so a sign change is bracketed;
-    b is checked to be strictly decreasing on the bracket first (NotMonotone
-    otherwise, NoRoot if the endpoint sign is wrong).  The returned sigma1 is
-    the first bisection midpoint with |b| < ROOT_TOL = 1e-14 or, when no
-    midpoint meets that, the float where the computed b changes sign:
-    b(sigma1) <= 0 < b(the float below sigma1).
+    b must be strictly decreasing on 201 samples of [0, sigma0] (NotMonotone
+    otherwise) and <= 0 at sigma0 (NoRoot otherwise); b(0) = 2 omega - c^2 > 0.
     """
     s0 = params.sigma0
     samples = b_of(np.linspace(0.0, s0, 201), params)
@@ -195,7 +186,7 @@ def find_sigma1(params: WaveParams) -> float:
         raise NotMonotone(f"b is not strictly decreasing on [0, {s0:.6g}]")
     if samples[-1] > 0.0:
         raise NoRoot(f"b({s0:.6g}) = {samples[-1]:.6g} > 0: no bracketed root")
-    return _bisect(lambda eta: _b_scalar(eta, params), 0.0, s0, ROOT_TOL)
+    return _bisect(lambda eta: _b_scalar(eta, params), 0.0, s0)
 
 
 # ---------------------------------------------------------------------------

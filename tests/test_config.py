@@ -13,7 +13,8 @@ Covered here:
     parallelogram), dt versus T,
   * file handling: JSON round trip, unreadable paths, invalid JSON,
   * the schema: the empty file is each scenario's preset, every number
-    is finite except the two guard levels (+inf turns them off), M has
+    is finite except the two guard levels (+inf turns them off), the
+    backbone and wave scales lie in [1e-100, 1e100], M has
     make_grid's lower bound, a collision refuses any perturbation value
     other than its preset's, and the echo reads back as the same config.
 """
@@ -311,6 +312,23 @@ class TestSchema:
         e = err({"scenario": "square", "grid": {"M": 2**40}})
         assert e.field == "grid.M" and str(MAX_POINTS) in e.reason
         assert parse_config_dict({"scenario": "square", "grid": {"M": MAX_POINTS}}).M == MAX_POINTS
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("R", 1e-101), ("R", 2e100), ("gamma", 1e-300), ("gamma", 1e308),
+         ("omega", 1e-200), ("omega", 1e300), ("c2", 1e101), ("gamma0", -1.5e100)],
+    )
+    def test_scales_outside_their_bounds(self, key, value):
+        e = err({"scenario": "square", "config": {key: value}})
+        assert e.field == f"config.{key}" and "1e+100" in e.reason
+
+    def test_scales_at_their_bounds(self):
+        for value in (1e-100, 1e100):
+            config = {"R": value, "gamma": value, "omega": value, "c2": value}
+            cfg = parse_config_dict({"scenario": "square", "config": config})
+            assert (cfg.R, cfg.gamma, cfg.omega, cfg.c2) == (value,) * 4
+        for gamma0 in (0.0, -1e100, 1e100):
+            assert parse_config_dict({"config": {"gamma0": gamma0}}, "collision").gamma0 == gamma0
 
     def test_null_only_where_the_default_is(self):
         assert err({"scenario": "square", "config": {"R": None}}).field == "config.R"

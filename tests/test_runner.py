@@ -31,9 +31,10 @@ Covered here:
     and every bad number, flag or field file exits 2 naming its field; a
     supersonic, NaN, oversized or too slow sweep or c2, an oversized
     point-vortex run and an oversized config.N exit 2 before they allocate,
-    a bad sweep and a bad c2 exit 2 alike with no status.json, a collision
-    refuses a perturbation, and a reduced run refuses two profiles and
-    parallelogram data,
+    a bad sweep and a bad c2 exit 2 alike with no status.json, a scale
+    beyond [1e-100, 1e100] exits 2 with no file, a collision
+    refuses a perturbation, a reduced run refuses two profiles and
+    parallelogram data, and a square refuses a file of three fields,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module.
 """
@@ -995,6 +996,42 @@ class TestCli:
         code = main(["reduced", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "perturbation.path" in capsys.readouterr().err
+
+    def test_square_field_file_of_three_fields_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "fields.csv"
+        write_fields_csv(path, make_grid(10.0, 64), [np.zeros(64, dtype=complex)] * 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"L": 10, "M": 64},
+            "time": {"T": 0.01, "dt": 1e-3},
+            "perturbation": {"kind": "file", "path": str(path)},
+        }))
+        code = main(["square", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "perturbation.path" in err and "holds 3 fields, not 4" in err
+        assert load_status(tmp_path / "o")["status"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "command,config,flags,field",
+        [
+            ("square", {"R": 1e-200}, [], "config.R"),
+            ("point-vortex", {"R": 1e-200}, [], "config.R"),
+            ("square", {"R": 1e200}, [], "config.R"),
+            ("stability", {"gamma": 1e308}, [], "config.gamma"),
+            ("collision", {"gamma0": -1e101}, [], "config.gamma0"),
+            ("traveling-wave", {}, ["--omega", "1e300", "--c2", "1.9e300"], "config.omega"),
+        ],
+        ids=["square-R-small", "point-vortex-R-small", "square-R-large",
+             "stability-gamma", "collision-gamma0", "traveling-wave-omega"],
+    )
+    def test_scale_beyond_bounds_exits_2(self, tmp_path, capsys, command, config, flags, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"config": config}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), *flags, "--out", str(out)]) == 2
+        assert f"config error at {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind,field", [("file", "perturbation.path"), ("parallelogram", "perturbation.kind")],

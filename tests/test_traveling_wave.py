@@ -3,8 +3,10 @@
 Verified here:
   * parameter validation of the admissible speed window,
   * the potential a and its normalized form b (series/direct consistency),
-  * the turning point sigma1 against an independent bisection oracle, and
-    the bisection that finds it and the shot's event,
+    b against its series in exact rationals, and b non-increasing on the
+    bracket for random admissible parameters,
+  * the turning point sigma1 against an independent bisection oracle and
+    against the exact b, and the bisection that finds it and the shot's event,
   * the amplitude shot: evenness, monotonicity, positivity, first integral,
     exponential tail with the predicted rate,
   * the private Dormand-Prince shooter against closed forms (decay, the
@@ -20,9 +22,12 @@ Verified here:
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vfsim.errors import (
     BoundViolated,
@@ -236,6 +241,59 @@ class TestBisect:
 
         assert _bisect(func, 0.0, 1.0, tol=0.01) == mids[-1] == 0.296875
         assert [abs(0.3 - x) < 0.01 for x in mids] == [False] * (len(mids) - 1) + [True]
+
+
+def exact_b(eta: float, params: WaveParams) -> Fraction:
+    """b(eta) = (2 omega - c^2) - 4 omega sum_{m >= 1} eta^m / ((m + 1)(m + 2)) in
+    exact rationals of the float inputs; the terms left out are below 1e-30."""
+    x, om, c = Fraction(eta), Fraction(params.omega), Fraction(params.c)
+    total, power, m = Fraction(0), x, 1
+    while power > Fraction(1, 10**30):
+        total += power / ((m + 1) * (m + 2))
+        power, m = power * x, m + 1
+    return 2 * om - c * c - 4 * om * total
+
+
+class TestExactPotential:
+    """b and sigma1 against the exact series of b, on the default window."""
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 7.0])
+    def test_b_matches_the_exact_series(self, omega):
+        for ratio in (1.8001, 1.85, 1.9, 1.99, 1.9999):
+            p = WaveParams(omega=omega, c=float(np.sqrt(ratio * omega)))
+            etas = np.geomspace(1e-8, p.sigma0, 60)
+            for eta, value in zip(etas, b_of(etas, p)):
+                exact = exact_b(float(eta), p)
+                for got in (value, _b_scalar(float(eta), p)):
+                    gap = abs(float(Fraction(float(got)) - exact))
+                    assert gap <= 2e-15, f"omega={omega}, c2/omega={ratio}, eta={eta!r}: {gap:.3g}"
+
+    @pytest.mark.parametrize(
+        "omega, c2",
+        [(1.0, 1.9992), (1.0, 1.9994), (1.0, 1.9996), (1.0, 1.9997), (1.0, 1.9998),
+         (1.0, 1.9999), (2.0, 3.988), (2.0, 3.994), (7.0, 13.909)]
+        + [(om, r * om) for om in (0.5, 1.0, 2.0, 7.0)
+           for r in (1.8001, 1.85, 1.9, 1.95, 1.99, 1.999, 1.99999, 1.9999999)],
+    )
+    def test_sigma1_is_the_exact_root(self, omega, c2):
+        p = WaveParams(omega=omega, c=float(np.sqrt(c2)))
+        s1 = find_sigma1(p)
+        assert abs(float(exact_b(s1, p))) <= 2e-15, f"b_exact(sigma1) = {float(exact_b(s1, p)):.3g}"
+        assert _b_scalar(s1, p) <= 0.0 < _b_scalar(float(np.nextafter(s1, 0.0)), p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(1e-6, 1e6),
+        st.floats(1.8, 2.0, exclude_min=True, exclude_max=True),
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60),
+    )
+    def test_b_non_increasing_on_the_bracket(self, omega, ratio, fractions):
+        try:
+            p = WaveParams(omega=omega, c=float(np.sqrt(ratio * omega)))
+        except DomainError:
+            assume(False)
+        etas = np.sort(np.array(fractions) * p.sigma0)
+        assert np.all(np.diff(b_of(etas, p)) <= 0.0)
 
 
 class TestAmplitudeShot:
