@@ -69,7 +69,7 @@ from .point_vortex import (
     pair_indices,
     polygon_config,
 )
-from .reduced import analytic_collision_phi
+from .reduced import collision_state
 from .symmetry import (
     SYMMETRY_TOL,
     Orbits,
@@ -205,8 +205,7 @@ def collision_initial_state(N: int, grid: Grid1D) -> FilamentState:
     the backbone is stationary) carrying the inverted-Gaussian dilation
     profile whose free evolution vanishes at t = 1, sigma = 0."""
     cfg = polygon_config(N, 1.0, 1.0, center_circulation=-(N - 1) / 2.0)
-    phi = make_field(grid, analytic_collision_phi(0.0, grid.nodes), background=1.0)
-    return dilation_state(cfg, phi)
+    return dilation_state(cfg, collision_state(grid).phi)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +434,7 @@ def _pair_terms(
     return kinetic, (g[j] * g[k])[:, None], np.abs(xd) ** 2, density, norms
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energies(state: FilamentState) -> EnergyReport:
     """Compute the full EnergyReport of a snapshot.
 
@@ -442,7 +442,10 @@ def energies(state: FilamentState) -> EnergyReport:
     form kinetic + (1/2) sum_{pairs} Gamma_j Gamma_k int (ratio - 1 -
     ln ratio), the sum running over unordered pairs.  A disagreement, NaN
     included, raises NumericalGuard.  A lone filament has no pairs and
-    reports min_sep = inf and sup_ratio_dev = 0.
+    reports min_sep = inf and sup_ratio_dev = 0.  ``vw_norms`` is set
+    exactly for the plain four-filament class.  A blown-up snapshot
+    overflows without a warning, and the grouping check turns its inf or
+    NaN E into NumericalGuard.
     """
     grid = state.grid
     g = state.cfg.circulations
@@ -549,7 +552,7 @@ def default_energy_cap(
         return None
     if report is None:
         report = energies(state)
-    if state.count == 4 and not state.cfg.has_center:
+    if report.vw_norms is not None:
         scale = tilde_E0(state, report)
     else:
         scale = report.E
@@ -787,7 +790,7 @@ def coercivity_check(
 
 
 # ---------------------------------------------------------------------------
-# square configuration: diagonal sums and identities
+# exact energy identities on the unit polygons
 # ---------------------------------------------------------------------------
 
 def _require_plain_four(state: FilamentState) -> None:
@@ -832,15 +835,39 @@ def vw_decompose(state: FilamentState) -> tuple[ComplexField, ComplexField]:
     return v, w
 
 
-def _identity_residual(name: str, energy: float, combination: float) -> float:
-    """|E - combination|; BoundViolated above 1e-10 * max(1, |E|) or if NaN.
+# E = H + t T + a A + sum over groups of c sum_rows ||sum_j row_j u_j||^2
+# on the unit polygons with unit circulations, by identity: (vertices,
+# centre, t, a, ((c, rows), ...)), each row's 0/1 weights in the filaments'
+# index order (a centre first)
+_IDENTITIES = {
+    "square": (4, False, 1 / 4, -1 / 4, ((1 / 8, ((1, 0, 1, 0), (0, 1, 0, 1))),)),
+    "segment": (2, True, 1 / 2, -3 / 4, ((3 / 4, ((1, 0, 0),)), (3 / 8, ((0, 1, 1),)))),
+    "hexagon": (6, False, 1 / 2, -7 / 4, (
+        (1 / 3, ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1))),
+        (3 / 8, ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1))),
+    )),
+}
+
+
+def _energy_identity(name: str, state: FilamentState) -> float:
+    """|E - combination| of the ``_IDENTITIES`` entry ``name`` on a state
+    that meets its polygon precondition; BoundViolated above
+    1e-10 * max(1, |E|) or if NaN.
 
     A raised check rather than an assert, so ``python -O`` keeps it.
     """
-    residual = abs(energy - combination)
-    if not residual <= 1e-10 * max(1.0, abs(energy)):
+    n, centre, t, a, groups = _IDENTITIES[name]
+    _require_unit_polygon(state, n, centre, name)
+    rep = energies(state)
+    u_vals = _values_matrix(state)
+    combination = rep.H + t * rep.T_quant + a * rep.A + sum(
+        c * float(np.sum(_sq_norms(state.grid, np.array(rows) @ u_vals)))
+        for c, rows in groups
+    )
+    residual = abs(rep.E - combination)
+    if not residual <= 1e-10 * max(1.0, abs(rep.E)):
         raise BoundViolated(
-            f"{name} energy identity failed: E={energy!r}, combination={combination!r}"
+            f"{name} energy identity failed: E={rep.E!r}, combination={combination!r}"
         )
     return residual
 
@@ -855,13 +882,33 @@ def square_energy_identity(state: FilamentState) -> float:
     parallelogram law; doubling any of them breaks the identity (see the
     tests).
     """
-    _require_unit_polygon(state, 4, False, "square")
-    rep = energies(state)
-    v, w = vw_decompose(state)
-    vsq = float(quad_trapezoid(state.grid, np.abs(v.values) ** 2))
-    wsq = float(quad_trapezoid(state.grid, np.abs(w.values) ** 2))
-    rhs = rep.H + rep.T_quant / 4.0 - rep.A / 4.0 + (vsq + wsq) / 8.0
-    return _identity_residual("square", rep.E, rhs)
+    return _energy_identity("square", state)
+
+
+def segment_energy_identity(state: FilamentState) -> float:
+    """Residual of the collinear three-filament identity
+
+        E = H + T/2 - (3/4) A + (3/4) ||u_mid||^2 + (3/8) ||u_+ + u_-||^2,
+
+    for the segment backbone (center vortex at the midpoint, index 0, and
+    the two ends at +-1), all circulations 1.  Checked below
+    1e-10 * max(1, |E|).
+    """
+    return _energy_identity("segment", state)
+
+
+def hexagon_energy_identity(state: FilamentState) -> float:
+    """Residual of the hexagon identity
+
+        E = H + T/2 - (7/4) A
+            + (1/3) (||u_1+u_3+u_5||^2 + ||u_2+u_4+u_6||^2)
+            + (3/8) sum_j ||u_j + u_(j+3)||^2,
+
+    for the plain unit hexagon with circulations 1; the triangle sums run
+    over the two inscribed equilateral triangles and the last sum over the
+    three antipodal pairs.  Checked below 1e-10 * max(1, |E|).
+    """
+    return _energy_identity("hexagon", state)
 
 
 def check_Lv_vanishes(state: FilamentState) -> tuple[float, float]:
@@ -913,8 +960,7 @@ def tilde_E0(state: FilamentState, report: EnergyReport | None = None) -> float:
 
 def max_pair_norm(state: FilamentState) -> float:
     """Largest L2 norm of a pair difference u_j - u_k."""
-    _, _, ud = _pair_differences(state)
-    return float(np.max(np.sqrt(_sq_norms(state.grid, ud)), initial=0.0))
+    return energies(state).pair_norm_max
 
 
 def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
@@ -987,59 +1033,3 @@ def growth_constants(reports: list[EnergyReport]) -> GrowthConstants:
             if denom > 0.0:
                 vw_c = max(vw_c, (vw[i] - vw[0]) / denom)
     return GrowthConstants(pair_norm_C=pair_c, vw_C=vw_c)
-
-
-# ---------------------------------------------------------------------------
-# segment and hexagon identities
-# ---------------------------------------------------------------------------
-
-def segment_energy_identity(state: FilamentState) -> float:
-    """Residual of the collinear three-filament identity
-
-        E = H + T/2 - (3/4) A + (3/4) ||u_mid||^2 + (3/8) ||u_+ + u_-||^2,
-
-    for the segment backbone (center vortex at the midpoint, index 0, and
-    the two ends at +-1), all circulations 1.  Checked below
-    1e-10 * max(1, |E|).
-    """
-    _require_unit_polygon(state, 2, True, "segment")
-    rep = energies(state)
-    grid = state.grid
-    mid_sq = float(quad_trapezoid(grid, np.abs(state.u[0].values) ** 2))
-    ends = state.u[1].values + state.u[2].values
-    ends_sq = float(quad_trapezoid(grid, np.abs(ends) ** 2))
-    rhs = (
-        rep.H
-        + rep.T_quant / 2.0
-        - 0.75 * rep.A
-        + 0.75 * mid_sq
-        + 0.375 * ends_sq
-    )
-    return _identity_residual("segment", rep.E, rhs)
-
-
-def hexagon_energy_identity(state: FilamentState) -> float:
-    """Residual of the hexagon identity
-
-        E = H + T/2 - (7/4) A
-            + (1/3) (||u_1+u_3+u_5||^2 + ||u_2+u_4+u_6||^2)
-            + (3/8) sum_j ||u_j + u_(j+3)||^2,
-
-    for the plain unit hexagon with circulations 1; the triangle sums run
-    over the two inscribed equilateral triangles and the last sum over the
-    three antipodal pairs.  Checked below 1e-10 * max(1, |E|).
-    """
-    _require_unit_polygon(state, 6, False, "hexagon")
-    rep = energies(state)
-    u_vals = _values_matrix(state)
-    # rows (u_1+u_3+u_5, u_2+u_4+u_6) and (u_j + u_(j+3)) for j = 1, 2, 3
-    tri = float(np.sum(_sq_norms(state.grid, u_vals.reshape(3, 2, -1).sum(axis=0))))
-    opp = float(np.sum(_sq_norms(state.grid, u_vals[:3] + u_vals[3:])))
-    rhs = (
-        rep.H
-        + rep.T_quant / 2.0
-        - 1.75 * rep.A
-        + (1.0 / 3.0) * tri
-        + 0.375 * opp
-    )
-    return _identity_residual("hexagon", rep.E, rhs)

@@ -172,15 +172,11 @@ def check_ginzburg(
 def energy_sample(state: PhiState) -> EnergySample:
     """E, E_GP and the modulus diagnostics, from one derivative of the field."""
     phi, omega = state.phi, state.omega
-    mod = np.abs(phi.values)
-    mod_sq = mod**2
+    mod_sq = np.abs(phi.values) ** 2
     kinetic = _kinetic(phi)
     return EnergySample(
-        time=state.time,
-        E=_energy_bm(phi, omega, kinetic, mod_sq),
-        E_GP=_energy_gp(phi, omega, kinetic, mod_sq),
-        sup_dev=float(np.max(np.abs(mod_sq - 1.0))),
-        min_mod=float(mod.min()),
+        state.time, _energy_bm(phi, omega, kinetic, mod_sq),
+        _energy_gp(phi, omega, kinetic, mod_sq), *modulus_deviation(phi),
     )
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA, ScenarioConfig, _require_subsonic, config_echo
+from .config import SCHEMA, ScenarioConfig, _FIXED_N, _require_subsonic, config_echo
 from .errors import (
     BoundaryContaminated,
     CollisionDetected,
@@ -59,13 +59,7 @@ from .point_vortex import (
     polygon_config,
     write_trajectory_csv,
 )
-from .reduced import (
-    PhiState,
-    analytic_collision_phi,
-    evolve_bm_samples,
-    lattice_wavenumber,
-    write_energy_csv,
-)
+from .reduced import PhiState, collision_state, evolve_bm_samples, write_energy_csv
 from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
@@ -202,23 +196,19 @@ def write_status(out_dir, report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 def build_backbone(cfg: ScenarioConfig) -> VortexConfig:
-    """The point-vortex configuration described by the config section."""
-    if cfg.kind == "square":
-        return polygon_config(4, cfg.R, cfg.gamma)
-    if cfg.kind == "polygon":
-        return polygon_config(cfg.N, cfg.R, cfg.gamma)
-    if cfg.kind == "hexagon":
-        return polygon_config(6, cfg.R, cfg.gamma)
-    if cfg.kind == "polygon_center":
-        gamma0 = cfg.gamma0
-        if gamma0 is None:
-            # the choice that freezes the backbone (omega = 0)
-            gamma0 = -(cfg.N - 1) / 2.0 * cfg.gamma
-        return polygon_config(cfg.N, cfg.R, cfg.gamma, center_circulation=gamma0)
-    if cfg.kind == "segment":
-        gamma0 = cfg.gamma if cfg.gamma0 is None else cfg.gamma0
-        return polygon_config(2, cfg.R, cfg.gamma, center_circulation=gamma0)
-    raise ConfigError("config.kind", f"unknown backbone kind {cfg.kind!r}")
+    """The point-vortex configuration described by the config section; the
+    fixed-shape kinds take their vertex count from ``config._FIXED_N``."""
+    n = _FIXED_N.get(cfg.kind, cfg.N)
+    if cfg.kind in ("square", "polygon", "hexagon"):
+        return polygon_config(n, cfg.R, cfg.gamma)
+    if cfg.kind not in ("polygon_center", "segment"):
+        raise ConfigError("config.kind", f"unknown backbone kind {cfg.kind!r}")
+    gamma0 = cfg.gamma0
+    if gamma0 is None:
+        # a segment's centre is one more equal filament; a polygon's takes the
+        # choice that freezes the backbone (omega = 0)
+        gamma0 = cfg.gamma if cfg.kind == "segment" else -(n - 1) / 2.0 * cfg.gamma
+    return polygon_config(n, cfg.R, cfg.gamma, center_circulation=gamma0)
 
 
 def _random_bump(rng: SeededUniform, grid: Grid1D, amp: float,
@@ -269,7 +259,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     """Initial perturbations for the full N-filament system.
 
     The collision scenario carries the closed-form collision profile
-    (``reduced.analytic_collision_phi`` at t = 0) as dilation data on the
+    (``reduced.collision_state`` at t = 0) as dilation data on the
     config's backbone (config parsing rejects any other perturbation).  Otherwise
     ``gaussian`` draws an independent random bump profile per filament
     (generic data, scale ``amp``); ``dilation`` is the shared-profile
@@ -281,8 +271,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     """
     vortex = build_backbone(cfg)
     if cfg.scenario == "collision":
-        phi = make_field(grid, analytic_collision_phi(0.0, grid.nodes), background=1.0)
-        return dilation_state(vortex, phi)
+        return dilation_state(vortex, collision_state(grid).phi)
     if cfg.pert_kind in ("gaussian", "parallelogram"):
         # imported on use: only the seeded kinds compile the stream
         from ._pcg64 import SeededUniform
@@ -441,17 +430,16 @@ def _run_filaments(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     def finish(reports: list, halt: VfsimError | None) -> RunReport:
         status = "Completed" if halt is None else type(halt).__name__
         report = _base_report(cfg, status, state)
-        if state.count == 4 and not state.cfg.has_center:
+        if reports[0].vw_norms is not None:  # the plain four-filament class
             te0 = tilde_E0(state, reports[0])
             report.constants["tilde_E0"] = te0
             report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
+            report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
         # H and A are conserved by the filament flow for any data, E is not
         report.constants["drift_H"] = _drift([r.H for r in reports])
         report.constants["drift_A"] = _drift([r.A for r in reports])
         report.constants.update(_energy_drift([r.E for r in reports]))
         report.constants["min_sep"] = min(r.min_sep for r in reports)
-        if all(r.vw_norms is not None for r in reports):
-            report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
         growth = growth_constants(reports)
         report.constants["pair_norm_C"] = growth.pair_norm_C
         if growth.vw_C is not None:
@@ -540,7 +528,7 @@ def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     profile = build_wave(params, grid)
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
     k_idx = max(round(math.sqrt(cfg.omega) * grid.half_length / math.pi), 1)
-    nu = lattice_wavenumber(grid, math.pi * k_idx / grid.half_length)
+    nu = math.pi * k_idx / grid.half_length
     files = ["helix_t0.csv", "helix_t1.csv"]
     for name, t in zip(files, (0.0, cfg.T)):
         # one time's fields are alive at a time, and none under residual_tw

@@ -10,6 +10,7 @@ Covered here:
     energy on dilation data, the rotation identity 2I = omega A, and the
     square / segment / hexagon energy identities together with a
     wrong-coefficient variant, and their BoundViolated check under python -O;
+    doubling any one coefficient of their table raises BoundViolated;
     their one precondition refuses a count, centre, radius, vertex or
     circulation off by 1e-9,
   * the assembled linear parts L_v, L_w: vanishing on the unit square,
@@ -85,6 +86,7 @@ import vfsim
 from vfsim import filaments
 from vfsim.config import ScenarioConfig
 from vfsim.errors import (
+    BoundViolated,
     CollisionDetected,
     ConfigError,
     NumericalGuard,
@@ -691,6 +693,32 @@ class TestSquareIdentity:
             capture_output=True, text=True, env=env, check=True,
         )
         assert out.stdout.split() == ["raised"] * 3
+
+    @pytest.mark.parametrize("name,coefficient", [
+        (name, coefficient)
+        for name in sorted(UNIT_POLYGONS)
+        for coefficient in ["T", "A"] + [
+            f"group {g}" for g in range(len(filaments._IDENTITIES[name][4]))
+        ]
+    ])
+    def test_each_doubled_coefficient_raises(self, monkeypatch, name, coefficient):
+        """The table is what the identities evaluate: doubling any one
+        coefficient of an entry (of T, of A, or of a row group) makes that
+        identity raise BoundViolated on generic data."""
+        n, centre, t, a, groups = filaments._IDENTITIES[name]
+        if coefficient == "T":
+            t *= 2.0
+        elif coefficient == "A":
+            a *= 2.0
+        else:
+            g = int(coefficient.split()[1])
+            c, rows = groups[g]
+            groups = groups[:g] + ((2.0 * c, rows),) + groups[g + 1:]
+        monkeypatch.setitem(filaments._IDENTITIES, name, (n, centre, t, a, groups))
+        identity, vortex = UNIT_POLYGONS[name]
+        for seed in range(5):
+            with pytest.raises(BoundViolated):
+                identity(random_state(vortex, GRID, 0.05, seed))
 
 
 class TestLinearParts:

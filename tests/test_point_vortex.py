@@ -160,6 +160,15 @@ class TestIntegrate:
         with pytest.raises(NumericalGuard):
             integrate(cfg, 1.0, 1.0)  # dt far above d^2/10
 
+    def test_step_guard_scales_with_circulation(self):
+        """The cap is d^2/(10 max|Gamma|), d^2 = 2 on the unit square."""
+        fast = polygon_config(4, 1.0, -1e3)
+        with pytest.raises(NumericalGuard, match=r"d\^2/\(10 max\|Gamma\|\) = 2.000e-04"):
+            integrate(fast, 1e-3, 1e-3)
+        assert integrate(fast, 1e-3, 1e-4).positions.shape == (11, 4)
+        still = VortexConfig(positions=fast.positions, circulations=np.zeros(4))
+        assert np.array_equal(integrate(still, 1.0, 1.0).positions[-1], fast.positions)
+
     def test_collision_reports_time(self):
         # the generic triple's minimal separation first dips below 0.8
         # near t = 2.66, so a raised guard distance must trip about there

@@ -1,7 +1,8 @@
 """Tests for the scenario runners and the command line front end.
 
 Covered here:
-  * builders: backbone kinds (including default center circulations),
+  * builders: backbone kinds (including default center circulations, and
+    the count of a fixed-shape kind whatever the field N),
     perturbation kinds with determinism, antisymmetry and file round
     trip, grid mismatch rejection, the collision preset's state equal to
     ``collision_initial_state``,
@@ -23,7 +24,9 @@ Covered here:
     field data exit 3 at t = 0, the collision runs its config's backbone
     (R, N, gamma0),
     config problems discovered at run time map to exit code 2, NaN data
-    map to exit code 6, and the configured energy-cap factor sets the cap,
+    map to exit code 6, runs at the scale ends (R = 1e-100, Gamma = 1e100)
+    end NumericalGuard without a RuntimeWarning, the point-vortex step cap
+    scales with max|Gamma|, and the configured energy-cap factor sets the cap,
   * determinism: rerunning a config gives byte-identical outputs,
   * the traced memory peak of the helix preset,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
@@ -36,9 +39,12 @@ Covered here:
     refuses a perturbation, a reduced run refuses two profiles and
     parallelogram data, and a square refuses a file of three fields,
   * cold start: importing the CLI and running a travelling wave load no
-    scipy module.
+    scipy module,
+  * the source: no module guards with an assert statement (one pinned
+    exception).
 """
 
+import ast
 import json
 import math
 import os
@@ -104,6 +110,11 @@ class TestBuildBackbone:
     def test_hexagon(self):
         cfg = ScenarioConfig(scenario="square", kind="hexagon", N=6)
         assert build_backbone(cfg).count == 6
+
+    @pytest.mark.parametrize("kind,count", [("hexagon", 6), ("segment", 3)])
+    def test_fixed_shape_kind_sets_the_count(self, kind, count):
+        """The kind, not the field N (left at its default 4), sets the count."""
+        assert build_backbone(ScenarioConfig(scenario="square", kind=kind)).count == count
 
 
 class TestBuildFilamentState:
@@ -330,6 +341,28 @@ class TestScenarioRuns:
         assert report.status == "NumericalGuard"
         assert report.exit_code == EXIT_CODES["NumericalGuard"] == 6
         assert load_status(out)["exit_code"] == 6
+
+    @pytest.mark.parametrize(
+        "scenario,config",
+        [("square", {"R": 1e-100}), ("square", {"gamma": 1e100}),
+         ("collision", {"gamma": 1e100})],
+        ids=["square-R-small", "square-gamma-large", "collision-gamma-large"],
+    )
+    def test_scale_ends_end_on_their_guard(self, tmp_path, scenario, config):
+        """Runs at the schema's scale ends blow up in their first step and
+        end NumericalGuard, with no RuntimeWarning on the way."""
+        report = run(parse_config_dict({"config": config}, scenario), tmp_path)
+        assert (report.status, report.exit_code) == ("NumericalGuard", 6)
+        assert "energy groupings disagree" in report.constants["error"]
+
+    def test_point_vortex_step_guard_scales_with_gamma(self, tmp_path):
+        """The step cap is d^2/(10 max|Gamma|): at Gamma = 1e100 the preset's
+        dt = 1e-3 is refused before any step."""
+        report = run(parse_config_dict({"config": {"gamma": 1e100}}, "point_vortex"), tmp_path)
+        assert (report.status, report.exit_code) == ("NumericalGuard", 6)
+        assert report.constants["error"] == (
+            "dt=1.000e-03 exceeds the stability guard d^2/(10 max|Gamma|) = 2.000e-101"
+        )
 
     @pytest.mark.parametrize("factor", [0.5, 1.0])
     def test_energy_cap_factor_sets_cap(self, tmp_path, factor):
@@ -1098,3 +1131,28 @@ class TestCli:
         )
         assert out.stdout.splitlines()[-1] == "0 []"
         assert load_status(tmp_path)["versions"]["scipy"]
+
+
+def test_no_guard_depends_on_assert():
+    """Bad input surfaces under ``python -O`` too: no module of the package
+    checks with an assert statement, except ``coercivity_check``, whose
+    AssertionError ``test_band_edge_separates_constants`` pins."""
+    package = os.path.dirname(vfsim.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if name == "filaments.py" and isinstance(func, ast.FunctionDef)
+            and func.name == "coercivity_check"
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) and id(node) not in allowed
+        ]
+    assert found == []
