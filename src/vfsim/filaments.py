@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import (
     BoundViolated,
-    BoundaryContaminated,
     CollisionDetected,
     ConfigError,
     EnergyCapExceeded,

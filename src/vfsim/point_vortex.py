@@ -264,15 +264,14 @@ def integrate(
 
 def write_trajectory_csv(path, traj: VortexTrajectory) -> None:
     """Dump a trajectory, one row per sample (see grid.write_csv)."""
-    x, inv = traj.positions, traj.invariant_series
-    center = inv["center_of_inertia"]
+    x, series = traj.positions, traj.invariant_series
+    center, ang_mom, log_sum, quad_sum = (series[key] for key in _INVARIANT_KEYS)
     header, columns = ["t"], [traj.times]
     for j in range(x.shape[1]):
         header += [f"re_X{j}", f"im_X{j}"]
         columns += [x[:, j].real, x[:, j].imag]
     header += ["center_re", "center_im", "ang_mom", "log_sum", "quad_sum"]
-    columns += [center.real, center.imag, inv["angular_momentum"], inv["log_sum"],
-                inv["quad_sum"]]
+    columns += [center.real, center.imag, ang_mom, log_sum, quad_sum]
     write_csv(path, header, columns)
 
 

@@ -63,9 +63,9 @@ from .reduced import PhiState, collision_state, evolve_bm_samples, write_energy_
 from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
+    _wave_record,
     build_wave,
     helix_filaments,
-    residual_tw,
     sweep_waves,
 )
 
@@ -155,13 +155,6 @@ def _versions() -> dict:
     }
 
 
-def _acceptance_for(cfg: ScenarioConfig) -> str:
-    key = (cfg.scenario, cfg.pert_kind)
-    if key in _ACCEPTANCE:
-        return _ACCEPTANCE[key]
-    return _ACCEPTANCE.get(cfg.scenario, "")
-
-
 def _base_report(cfg: ScenarioConfig, status: str,
                  state: FilamentState | None = None) -> RunReport:
     symmetry = state.symmetry if state is not None else None
@@ -171,7 +164,8 @@ def _base_report(cfg: ScenarioConfig, status: str,
         scenario=cfg.scenario,
         config=config_echo(cfg),
         versions=_versions(),
-        acceptance=_acceptance_for(cfg),
+        acceptance=_ACCEPTANCE.get((cfg.scenario, cfg.pert_kind),
+                                   _ACCEPTANCE.get(cfg.scenario, "")),
         symmetry=symmetry.name if symmetry is not None else None,
     )
 
@@ -307,8 +301,8 @@ def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunRep
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
 
     report = _base_report(cfg, "Completed")
-    for key in ("center_of_inertia", "angular_momentum", "log_sum", "quad_sum"):
-        report.constants[f"drift_{key}"] = _drift(traj.invariant_series[key])
+    for key, series in traj.invariant_series.items():
+        report.constants[f"drift_{key}"] = _drift(series)
     report.files = ["trajectory.csv"]
     return report
 
@@ -460,8 +454,8 @@ _MAX_SWEEP = 10_000
 def _parse_sweep(text: str, omega: float) -> list:
     """Parse ``c2=START:STOP:COUNT`` into a list of c2 values.
 
-    START and STOP must pass the ``config.c2`` parser and its subsonic rule,
-    and COUNT lie in [2, _MAX_SWEEP], before any value is made.
+    START and STOP must pass the ``config.c2`` parser and its subsonic rule
+    and differ, and COUNT lie in [2, _MAX_SWEEP], before any value is made.
     """
     try:
         name, rest = text.split("=", 1)
@@ -476,6 +470,8 @@ def _parse_sweep(text: str, omega: float) -> list:
     parse_c2 = SCHEMA["config"]["c2"][1]
     for value in (start, stop):
         _require_subsonic(parse_c2(value, "sweep"), omega, "sweep")
+    if start == stop:
+        raise ConfigError("sweep", "START and STOP must differ")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -488,15 +484,11 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
     name = out_name or ("sweep.csv" if sweep else "profile.csv")
 
     if c2_values is None:
-        params = WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2))
-        profile = build_wave(params, grid)
+        profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
         v = profile.v.values
         write_csv(os.path.join(out_dir, name), ["sigma", "eta", "theta", "re_v", "im_v"],
                   [grid.nodes, profile.eta, profile.theta, v.real, v.imag])
-        report.constants["sigma1"] = profile.sigma1
-        report.constants["phase_jump"] = profile.phase_jump
-        report.constants["energy"] = profile.energy
-        report.constants["residual"] = residual_tw(profile.v, params)
+        report.constants.update(_wave_record(profile))
         report.files = [name]
         return report
 
@@ -524,8 +516,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
 
 def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
     grid = make_grid(cfg.L, cfg.M)
-    params = WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2))
-    profile = build_wave(params, grid)
+    profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
     k_idx = max(round(math.sqrt(cfg.omega) * grid.half_length / math.pi), 1)
     nu = math.pi * k_idx / grid.half_length
@@ -537,9 +528,7 @@ def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
 
     report = _base_report(cfg, "Completed")
     report.constants["nu"] = nu
-    report.constants["sigma1"] = profile.sigma1
-    report.constants["phase_jump"] = profile.phase_jump
-    report.constants["residual"] = residual_tw(profile.v, params)
+    report.constants.update(_wave_record(profile))
     report.files = files
     return report
 

@@ -36,12 +36,6 @@ from .errors import (
 from .grid import ComplexField, Grid1D, derivative, make_field, quad_trapezoid, shift_field
 from .reduced import lattice_wavenumber
 
-# Default box for wave construction.  The box must hold many decay lengths of
-# the amplitude tail, and the phase quadrature error scales like h^2, so the
-# default grid is long and fine.
-DEFAULT_WAVE_HALF_LENGTH = 256.0
-DEFAULT_WAVE_MODES = 65536
-
 # b sums its series below the cut (sigma0 < 0.3 under the default window, so
 # find_sigma1 and the shot sum only the series) with the coefficients
 # 1 / ((m + 1)(m + 2)), m = 32 down to 1: at the cut the rest is 1e-20 of the sum.
@@ -586,21 +580,20 @@ def helix_filaments(
     ]
 
 
-def _sweep_record(params: WaveParams, grid: Grid1D) -> dict:
-    profile = build_wave(params, grid)
+def _wave_record(profile: WaveProfile) -> dict:
+    """What a run reports of one wave: sigma1, energy, phase_jump and residual_tw."""
     return {
-        "c2": params.c**2,
         "sigma1": profile.sigma1,
         "energy": profile.energy,
         "phase_jump": profile.phase_jump,
-        "residual": residual_tw(profile.v, params),
+        "residual": residual_tw(profile.v, profile.params),
     }
 
 
 def sweep_waves(params_list: list[WaveParams], grid: Grid1D) -> list[dict]:
     """Build each wave and collect (c^2, sigma1, energy, phase_jump, residual) records.
 
-    One profile is alive at a time: each dies with its record's frame, before
-    the next one is built.
+    One profile is alive at a time: each is dropped once its record is made,
+    before the next one is built.
     """
-    return [_sweep_record(params, grid) for params in params_list]
+    return [{"c2": p.c**2, **_wave_record(build_wave(p, grid))} for p in params_list]

@@ -13,7 +13,9 @@ Covered here:
   * per-scenario runs on small grids: emitted files, status.json
     structure (status, constants, versions, acceptance tag, symmetry
     tag), exit codes, the scipy version read once per process, the drifts
-    of H and A in every filament run's constants,
+    of H and A in every filament run's constants, one point-vortex drift
+    per invariant, and one wave record (a profile run's constants equal
+    to the sweep's row, the helix's energy equal to the profile run's),
   * guard mapping: a collision maps to exit code 3 with hitting times,
     a collision run that leaves its box to exit code 5 with its boundary
     time, a reduced run that leaves its box to exit code 5 with the
@@ -34,14 +36,16 @@ Covered here:
     and every bad number, flag or field file exits 2 naming its field; a
     supersonic, NaN, oversized or too slow sweep or c2, an oversized
     point-vortex run and an oversized config.N exit 2 before they allocate,
-    a bad sweep and a bad c2 exit 2 alike with no status.json, a scale
+    a bad sweep and a bad c2 exit 2 alike with no status.json, so does a
+    sweep with equal ends, a scale
     beyond [1e-100, 1e100] exits 2 with no file, a collision
     refuses a perturbation, a reduced run refuses two profiles and
     parallelogram data, and a square refuses a file of three fields,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module,
   * the source: no module guards with an assert statement (one pinned
-    exception).
+    exception), every import of a package module is read there, and
+    every module-level constant is read somewhere.
 """
 
 import ast
@@ -58,7 +62,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vfsim
-from vfsim import _pcg64, filaments, runner
+from vfsim import _pcg64, filaments, point_vortex, runner
 from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
 from vfsim.config import SCHEMA, ScenarioConfig, parse_config_dict, scenario_defaults
@@ -253,6 +257,14 @@ class TestScenarioRuns:
         status = load_status(tmp_path)
         assert status["acceptance"] == "test_01_point_vortex_invariants"
         assert set(status["versions"]) == {"python", "numpy", "scipy", "vfsim"}
+
+    def test_point_vortex_drifts_one_per_invariant(self, tmp_path):
+        cfg = scenario_defaults("point_vortex")
+        cfg.T = 0.1
+        report = run(cfg, tmp_path)
+        assert list(report.constants) == [
+            f"drift_{key}" for key in point_vortex._INVARIANT_KEYS
+        ]
 
     def test_stability(self, tmp_path):
         report = run(scenario_defaults("stability"), tmp_path)
@@ -655,6 +667,33 @@ class TestScenarioRuns:
         report = run(cfg, tmp_path, sweep=sweep)
         assert report.status == "ConfigError" and report.exit_code == 2
 
+    def test_profile_reports_the_sweep_record(self, tmp_path):
+        cfg = scenario_defaults("traveling_wave")
+        cfg.L, cfg.M, cfg.c2 = 30.0, 1024, 1.95
+        profile = run(cfg, tmp_path / "profile")
+        run(cfg, tmp_path / "sweep", sweep="c2=1.95:1.93:2")
+        with open(tmp_path / "sweep" / "sweep.csv") as fh:
+            header, first = fh.readline().strip(), fh.readline().strip()
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert row.pop("c2") == 1.95
+        assert {key: profile.constants[key] for key in row} == row
+
+    def test_bad_sweep_equal_ends_is_config_error(self, tmp_path):
+        cfg = scenario_defaults("traveling_wave")
+        cfg.L, cfg.M = 30.0, 1024
+        report = run(cfg, tmp_path, sweep="c2=1.95:1.95:3")
+        assert report.status == "ConfigError" and report.exit_code == 2
+        assert "START and STOP must differ" in report.constants["error"]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_helix_reports_the_wave_energy(self, tmp_path):
+        wave, helix = scenario_defaults("traveling_wave"), scenario_defaults("helix")
+        wave.L = helix.L = 30.0
+        wave.M = helix.M = 1024
+        energy = run(wave, tmp_path / "wave").constants["energy"]
+        run(helix, tmp_path / "helix")
+        assert load_status(tmp_path / "helix")["constants"]["energy"] == energy
+
     def test_helix(self, tmp_path):
         cfg = scenario_defaults("helix")
         cfg.L, cfg.M = 30.0, 1024
@@ -889,6 +928,16 @@ class TestCli:
         out = tmp_path / "d"
         assert main(["traveling-wave", flag, value, "--out", str(out / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"vfsim: config error at {field}: ")
+        assert not out.exists()
+
+    def test_sweep_with_equal_ends_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        argv = ["traveling-wave", "--sweep", "c2=1.95:1.95:3", "--L", "30", "--M", "1024",
+                "--out", str(out / "s.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "vfsim: config error at sweep: START and STOP must differ\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1156,3 +1205,62 @@ def test_no_guard_depends_on_assert():
             if isinstance(node, ast.Assert) and id(node) not in allowed
         ]
     assert found == []
+
+
+def _source_trees(*dirs):
+    """(path, ast) of every Python file under the given directories."""
+    for top in dirs:
+        for base, _, names in sorted(os.walk(top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(base, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read(), path)
+
+
+def test_every_import_is_used():
+    """Each name a package module imports is read in that module or listed
+    in its ``__all__`` (a docstring mention does not count)."""
+    unused = []
+    for path, tree in _source_trees(os.path.dirname(vfsim.__file__)):
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read |= set(ast.literal_eval(node.value))
+        unused += [f"{os.path.basename(path)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
+def test_every_constant_is_read():
+    """Each module-level UPPER_CASE constant of the package is read somewhere
+    in ``src``, ``tests`` or ``perfbench`` besides its own assignment."""
+    package = os.path.dirname(vfsim.__file__)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    constants, reads = {}, set()
+    for path, tree in _source_trees(package):
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                name = getattr(target, "id", "")
+                if name.strip("_").replace("_", "").isupper():
+                    constants[name] = f"{os.path.basename(path)}:{node.lineno}"
+    dirs = [os.path.join(root, name) for name in ("tests", "perfbench")]
+    for _, tree in _source_trees(os.path.dirname(package), *dirs):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in constants.items()
+                  if name not in reads) == []
