@@ -962,8 +962,8 @@ def max_pair_norm(state: FilamentState) -> float:
     return energies(state).pair_norm_max
 
 
-def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
-    """Guaranteed existence time C min(tE0^(-1/4) d0^(-1/2), tE0^(-1/3)).
+def predicted_T(tilde_e0: float, max_jk_norm: float) -> float:
+    """Guaranteed existence time 0.1 min(tE0^(-1/4) d0^(-1/2), tE0^(-1/3)).
 
     tilde_e0 = 0 (unperturbed data) returns inf as a sentinel.
     """
@@ -972,7 +972,7 @@ def predicted_T(tilde_e0: float, max_jk_norm: float, C: float = 0.1) -> float:
     first = math.inf
     if max_jk_norm > 0.0:
         first = tilde_e0 ** (-0.25) * max_jk_norm ** (-0.5)
-    return C * min(first, tilde_e0 ** (-1.0 / 3.0))
+    return 0.1 * min(first, tilde_e0 ** (-1.0 / 3.0))
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,8 @@ def rhs(
     return _pair_velocity(positions, pairs, vmat, delta_min)
 
 
-def config_rhs(cfg: VortexConfig, delta_min: float = DELTA_MIN) -> np.ndarray:
-    return rhs(cfg.positions, cfg.circulations, delta_min)
+def config_rhs(cfg: VortexConfig) -> np.ndarray:
+    return rhs(cfg.positions, cfg.circulations)
 
 
 def _invariant_series(
@@ -343,11 +343,7 @@ def _spectrum_with_deflated_kernel(jac: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(ker_dim, dtype=complex), rest])
 
 
-def linear_stability(
-    N: int,
-    gamma: float,
-    center_circulation: float | None = None,
-) -> tuple[np.ndarray, str]:
+def linear_stability(N: int, gamma: float) -> tuple[np.ndarray, str]:
     """Spectrum of the linearized co-rotating dynamics at the polygon.
 
     Returns the eigenvalues and the verdict "stable" when no eigenvalue has
@@ -355,7 +351,7 @@ def linear_stability(
     """
     if N < 3:
         raise InvalidPolygon(f"stability analysis needs N >= 3, got N={N}")
-    cfg = polygon_config(N, 1.0, gamma, center_circulation)
+    cfg = polygon_config(N, 1.0, gamma)
     eigenvalues = _spectrum_with_deflated_kernel(_corotating_jacobian(cfg))
     verdict = "stable" if eigenvalues.real.max() <= STABILITY_TOL else "unstable"
     return eigenvalues, verdict

@@ -157,15 +157,13 @@ class GinzburgReport:
     triggered: bool  # whether energy <= eta1, i.e. the assertion applied
 
 
-def check_ginzburg(
-    phi: ComplexField, omega: float, eta1: float = ETA1_DEFAULT
-) -> GinzburgReport:
-    """If the energy is below eta1, assert the modulus stays within 1/4 of 1."""
+def check_ginzburg(phi: ComplexField, omega: float) -> GinzburgReport:
+    """Below the energy ETA1_DEFAULT, assert the modulus stays within 1/4 of 1."""
     e = energy_bm(phi, omega)
     sup_dev, _ = modulus_deviation(phi)
-    triggered = e <= eta1
+    triggered = e <= ETA1_DEFAULT
     if triggered and sup_dev > 0.25:
-        raise GinzburgViolated(e, sup_dev, eta1)
+        raise GinzburgViolated(e, sup_dev, ETA1_DEFAULT)
     return GinzburgReport(energy=e, sup_dev=sup_dev, triggered=triggered)
 
 

@@ -2,8 +2,9 @@
 
 Each runner builds its initial data from a validated ScenarioConfig,
 integrates, writes the scenario's output files into a directory, and
-returns a RunReport.  The report is also serialized to ``status.json``
-so a run can be inspected (and diffed) after the fact.
+fills the one RunReport that ``run`` creates; ``_end`` alone ends it with
+a guard.  The report is also serialized to ``status.json`` so a run can be
+inspected (and diffed) after the fact.
 
 Guarantees shared by every scenario:
 
@@ -155,18 +156,15 @@ def _versions() -> dict:
     }
 
 
-def _base_report(cfg: ScenarioConfig, status: str,
-                 state: FilamentState | None = None) -> RunReport:
-    symmetry = state.symmetry if state is not None else None
+def _base_report(cfg: ScenarioConfig) -> RunReport:
     return RunReport(
-        status=status,
-        exit_code=EXIT_CODES[status],
+        status="Completed",
+        exit_code=EXIT_CODES["Completed"],
         scenario=cfg.scenario,
         config=config_echo(cfg),
         versions=_versions(),
         acceptance=_ACCEPTANCE.get((cfg.scenario, cfg.pert_kind),
                                    _ACCEPTANCE.get(cfg.scenario, "")),
-        symmetry=symmetry.name if symmetry is not None else None,
     )
 
 
@@ -295,19 +293,17 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
 # per-scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_point_vortex(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+def _run_point_vortex(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
     vortex = build_backbone(cfg)
     traj = integrate(vortex, cfg.T, cfg.dt)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
 
-    report = _base_report(cfg, "Completed")
     for key, series in traj.invariant_series.items():
         report.constants[f"drift_{key}"] = _drift(series)
     report.files = ["trajectory.csv"]
-    return report
 
 
-def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
     rows = []
     for n in range(3, 11):
         eigs, verdict = linear_stability(n, cfg.gamma)
@@ -315,16 +311,14 @@ def _run_stability(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
     write_csv(os.path.join(out_dir, "stability.csv"),
               ["N", "max_re_lambda", "verdict"], list(zip(*rows)))
 
-    report = _base_report(cfg, "Completed")
     for n, lam, verdict in rows:
         if n == cfg.N:
             report.constants["max_re_lambda"] = lam
             report.constants["verdict"] = verdict
     report.files = ["stability.csv"]
-    return report
 
 
-def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+def _run_reduced(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
     grid = make_grid(cfg.L, cfg.M)
     if cfg.pert_kind in ("gaussian", "dilation"):
         values = 1.0 + _gaussian_profile(cfg, grid)
@@ -341,27 +335,23 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         sample_every=cfg.sample_every,
         boundary_tol=cfg.boundary_tol,
     )
-
-    def finish(rows: list, halt) -> RunReport:
-        report = _base_report(cfg, "Completed")
-        report.constants.update(_energy_drift([s.E for s in rows]))
-        report.constants["min_mod"] = min(s.min_mod for s in rows)
-        return report
-
-    return _stream(cfg, out_dir, dump_fields,
-                   (([st.phi], sample, None) for st, sample in samples),
-                   write_energy_csv, finish)
+    rows, _ = _stream(out_dir, report, dump_fields,
+                      (([st.phi], sample, None) for st, sample in samples),
+                      write_energy_csv)
+    report.constants.update(_energy_drift([s.E for s in rows]))
+    report.constants["min_mod"] = min(s.min_mod for s in rows)
 
 
-def _stream(cfg: ScenarioConfig, out_dir, dump_fields: bool, samples,
-            write_rows, finish) -> RunReport:
+def _stream(out_dir, report: RunReport, dump_fields: bool, samples,
+            write_rows) -> tuple[list, VfsimError | None]:
     """Consume a run's (fields, row, halt) samples, fields None for a halt
     that keeps the sample before it: dump each sample's fields as they
     arrive if asked, then drop them, and write the rows to energies.csv once
-    with ``write_rows``.  The report is ``finish(rows, last halt)``; a guard
-    raised after the first sample sets its status and hitting time on that
-    report through ``_error_report`` (one raised before it propagates)."""
-    rows, files, halt, raised = [], ["energies.csv"], None, None
+    with ``write_rows``.  Returns the rows and the last yielded halt; a guard
+    raised after the first sample ends ``report`` through ``_end`` (one
+    raised before it propagates)."""
+    rows, halt = [], None
+    report.files = ["energies.csv"]
     try:
         for fields, row, halt in samples:
             if fields is None:
@@ -369,18 +359,14 @@ def _stream(cfg: ScenarioConfig, out_dir, dump_fields: bool, samples,
             if dump_fields:
                 name = f"fields_t{len(rows):04d}.csv"
                 write_fields_csv(os.path.join(out_dir, name), fields[0].grid, fields)
-                files.append(name)
+                report.files.append(name)
             rows.append(row)
     except VfsimError as exc:
         if not rows:
             raise
-        raised = exc
+        _end(report, exc, raised=True)
     write_rows(os.path.join(out_dir, "energies.csv"), rows)
-    report = finish(rows, halt)
-    if raised is not None:
-        _error_report(cfg, raised, report)
-    report.files = files
-    return report
+    return rows, halt
 
 
 def _drift(values) -> float:
@@ -397,8 +383,17 @@ def _energy_drift(energies: list[float]) -> dict:
     return drift
 
 
-def _record_halt(report: RunReport, halt: VfsimError | None) -> None:
-    """Write the hitting time of the guard that ended a filament run."""
+def _end(report: RunReport, halt: VfsimError, raised: bool) -> None:
+    """End ``report`` with the guard ``halt``: its status (NumericalGuard for
+    a class not in EXIT_CODES) and exit code, ``constants.error`` if it was
+    raised, and its hitting time.  A boundary halt is ``halt_time`` when
+    raised (by a reduced run) and ``boundary_time`` when yielded (by a
+    filament run)."""
+    name = type(halt).__name__
+    report.status = name if name in EXIT_CODES else "NumericalGuard"
+    report.exit_code = EXIT_CODES[report.status]
+    if raised:
+        report.constants["error"] = str(halt)
     if isinstance(halt, CollisionDetected):
         report.hitting_times.update(
             collision_time=halt.time, sigma_star=halt.sigma, pair=list(halt.pair))
@@ -406,10 +401,10 @@ def _record_halt(report: RunReport, halt: VfsimError | None) -> None:
         report.hitting_times["cap_time"] = halt.time
         report.constants["energy_cap"] = halt.cap
     elif isinstance(halt, BoundaryContaminated):
-        report.hitting_times["boundary_time"] = halt.time
+        report.hitting_times["halt_time" if raised else "boundary_time"] = halt.time
 
 
-def _run_filaments(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+def _run_filaments(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
     """The square and collision scenarios: ``evolve_samples`` on the state of
     ``build_filament_state`` with the config's time and guard settings."""
     state = build_filament_state(cfg, make_grid(cfg.L, cfg.M))
@@ -420,31 +415,27 @@ def _run_filaments(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport
         boundary_tol=cfg.boundary_tol,
         energy_cap_factor=cfg.energy_cap_factor,
     )
-
-    def finish(reports: list, halt: VfsimError | None) -> RunReport:
-        status = "Completed" if halt is None else type(halt).__name__
-        report = _base_report(cfg, status, state)
-        if reports[0].vw_norms is not None:  # the plain four-filament class
-            te0 = tilde_E0(state, reports[0])
-            report.constants["tilde_E0"] = te0
-            report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
-            report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
-        # H and A are conserved by the filament flow for any data, E is not
-        report.constants["drift_H"] = _drift([r.H for r in reports])
-        report.constants["drift_A"] = _drift([r.A for r in reports])
-        report.constants.update(_energy_drift([r.E for r in reports]))
-        report.constants["min_sep"] = min(r.min_sep for r in reports)
-        growth = growth_constants(reports)
-        report.constants["pair_norm_C"] = growth.pair_norm_C
-        if growth.vw_C is not None:
-            report.constants["vw_C"] = growth.vw_C
-        _record_halt(report, halt)
-        return report
-
-    return _stream(cfg, out_dir, dump_fields,
-                   ((None if snap is None else snap.u, rep, halt)
-                    for snap, rep, halt in samples),
-                   write_reports_csv, finish)
+    reports, halt = _stream(out_dir, report, dump_fields,
+                            ((None if snap is None else snap.u, rep, halt)
+                             for snap, rep, halt in samples),
+                            write_reports_csv)
+    report.symmetry = getattr(state.symmetry, "name", None)
+    if reports[0].vw_norms is not None:  # the plain four-filament class
+        te0 = tilde_E0(state, reports[0])
+        report.constants["tilde_E0"] = te0
+        report.constants["predicted_T"] = predicted_T(te0, reports[0].pair_norm_max)
+        report.constants["max_vw"] = max(max(r.vw_norms) for r in reports)
+    # H and A are conserved by the filament flow for any data, E is not
+    report.constants["drift_H"] = _drift([r.H for r in reports])
+    report.constants["drift_A"] = _drift([r.A for r in reports])
+    report.constants.update(_energy_drift([r.E for r in reports]))
+    report.constants["min_sep"] = min(r.min_sep for r in reports)
+    growth = growth_constants(reports)
+    report.constants["pair_norm_C"] = growth.pair_norm_C
+    if growth.vw_C is not None:
+        report.constants["vw_C"] = growth.vw_C
+    if halt is not None:
+        _end(report, halt, raised=False)
 
 
 # the most c2 values a sweep takes: each one solves a wave on the full grid
@@ -475,13 +466,12 @@ def _parse_sweep(text: str, omega: float) -> list:
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
-                        sweep: str | None = None,
-                        out_name: str | None = None) -> RunReport:
+def _run_traveling_wave(cfg: ScenarioConfig, out_dir, report: RunReport,
+                        sweep: str | None, out_name: str | None) -> None:
     c2_values = None if sweep is None else _parse_sweep(sweep, cfg.omega)
     grid = make_grid(cfg.L, cfg.M)
-    report = _base_report(cfg, "Completed")
     name = out_name or ("sweep.csv" if sweep else "profile.csv")
+    report.files = [name]
 
     if c2_values is None:
         profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
@@ -489,11 +479,12 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
         write_csv(os.path.join(out_dir, name), ["sigma", "eta", "theta", "re_v", "im_v"],
                   [grid.nodes, profile.eta, profile.theta, v.real, v.imag])
         report.constants.update(_wave_record(profile))
-        report.files = [name]
-        return report
+        return
 
     params_list = [WaveParams(omega=cfg.omega, c=math.sqrt(c2)) for c2 in c2_values]
     rows = sweep_waves(params_list, grid)
+    for row, c2 in zip(rows, c2_values):
+        row["c2"] = c2  # the requested value: sqrt(c2)**2 may be an ulp off
     names = ["c2", "sigma1", "energy", "phase_jump", "residual"]
     write_csv(os.path.join(out_dir, name), names,
               [[row[key] for row in rows] for key in names])
@@ -510,11 +501,9 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, dump_fields: bool,
         np.polyfit(log_gaps, np.log(sig1), 1)[0]
     )
     report.constants["max_residual"] = max(row["residual"] for row in rows)
-    report.files = [name]
-    return report
 
 
-def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
+def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
     grid = make_grid(cfg.L, cfg.M)
     profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
@@ -526,11 +515,9 @@ def _run_helix(cfg: ScenarioConfig, out_dir, dump_fields: bool) -> RunReport:
         write_fields_csv(os.path.join(out_dir, name), grid,
                          helix_filaments(profile, cfg.N, nu, time=t))
 
-    report = _base_report(cfg, "Completed")
     report.constants["nu"] = nu
     report.constants.update(_wave_record(profile))
     report.files = files
-    return report
 
 
 _DISPATCH = {
@@ -547,42 +534,25 @@ _DISPATCH = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def _error_report(cfg: ScenarioConfig, exc: VfsimError,
-                  report: RunReport | None = None) -> RunReport:
-    """The report of a run that a raised guard or error ended: ``report``,
-    the run's own report of its samples if it kept any, with the status
-    and hitting time of ``exc``."""
-    name = type(exc).__name__
-    status = name if name in EXIT_CODES else "NumericalGuard"
-    if report is None:
-        report = _base_report(cfg, status)
-    report.status, report.exit_code = status, EXIT_CODES[status]
-    report.constants["error"] = str(exc)
-    if isinstance(exc, BoundaryContaminated):  # raised by a reduced run only
-        report.hitting_times["halt_time"] = exc.time
-    else:
-        _record_halt(report, exc)
-    return report
-
-
 def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
         sweep: str | None = None, out_name: str | None = None) -> RunReport:
     """Run one scenario, write its files and status.json, return the report.
 
-    Guard exceptions are converted into a report with the matching status
-    and exit code rather than propagating; the caller turns
+    The scenario runner fills the report made here.  A guard or error that
+    reaches this function is converted into a fresh report with the matching
+    status and exit code rather than propagating; the caller turns
     ``report.exit_code`` into the process exit status.
     """
     os.makedirs(out_dir, exist_ok=True)
+    report = _base_report(cfg)
     try:
         if cfg.scenario == "traveling_wave":
-            report = _run_traveling_wave(
-                cfg, out_dir, dump_fields, sweep=sweep, out_name=out_name,
-            )
+            _run_traveling_wave(cfg, out_dir, report, sweep, out_name)
         else:
-            report = _DISPATCH[cfg.scenario](cfg, out_dir, dump_fields)
+            _DISPATCH[cfg.scenario](cfg, out_dir, report, dump_fields)
         _check_files(out_dir, report.files)
     except VfsimError as exc:
-        report = _error_report(cfg, exc)
+        report = _base_report(cfg)
+        _end(report, exc, raised=True)
     write_status(out_dir, report)
     return report

@@ -16,7 +16,11 @@ Covered here:
     of H and A in every filament run's constants, one point-vortex drift
     per invariant, and one wave record (a profile run's constants equal
     to the sweep's row, the helix's energy equal to the profile run's),
-  * guard mapping: a collision maps to exit code 3 with hitting times,
+    a sweep's c2 column equal to the requested values,
+  * guard mapping: one table of how a run ends (its status, its
+    hitting-time keys, constants.error for a raised guard only, and no
+    partial constants once a raised guard reaches ``run``),
+    a collision maps to exit code 3 with hitting times,
     a collision run that leaves its box to exit code 5 with its boundary
     time, a reduced run that leaves its box to exit code 5 with the
     samples before the halt in energies.csv, a collision halt right after
@@ -44,8 +48,9 @@ Covered here:
   * cold start: importing the CLI and running a travelling wave load no
     scipy module,
   * the source: no module guards with an assert statement (one pinned
-    exception), every import of a package module is read there, and
-    every module-level constant is read somewhere.
+    exception), every import of a package module is read there,
+    every module-level constant is read somewhere, and every default of a
+    module-level function is overridden at some call.
 """
 
 import ast
@@ -66,7 +71,7 @@ from vfsim import _pcg64, filaments, point_vortex, runner
 from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
 from vfsim.config import SCHEMA, ScenarioConfig, parse_config_dict, scenario_defaults
-from vfsim.errors import ConfigError
+from vfsim.errors import ConfigError, NumericalGuard
 from vfsim.grid import make_grid, write_fields_csv
 from vfsim.runner import (
     EXIT_CODES,
@@ -463,6 +468,45 @@ class TestScenarioRuns:
         assert 0.0 < status["hitting_times"]["boundary_time"] < cfg.T
 
     @pytest.mark.parametrize(
+        "config,status,times,error",
+        [
+            ({"scenario": "collision"}, "CollisionDetected",
+             {"collision_time", "sigma_star", "pair"}, False),
+            ({"scenario": "square", "grid": {"L": 20, "M": 256},
+              "time": {"T": 0.02, "dt": 1e-3, "sample_every": 2},
+              "guards": {"energy_cap_factor": 0.5}},
+             "EnergyCapExceeded", {"cap_time"}, False),
+            ({"scenario": "collision", "grid": {"L": 6.0, "M": 128}},
+             "BoundaryContaminated", {"boundary_time"}, False),
+            ({"scenario": "reduced", "grid": {"L": 4, "M": 128},
+              "time": {"T": 2.0, "dt": 1e-3, "sample_every": 50}},
+             "BoundaryContaminated", {"halt_time"}, True),
+            ({"scenario": "helix", "grid": {"L": 30.0, "M": 1024}},
+             "NumericalGuard", set(), True),
+        ],
+        ids=["collision", "energy-cap", "yielded-boundary", "raised-boundary",
+             "raised-after-constants"],
+    )
+    def test_how_a_run_ends(self, tmp_path, monkeypatch, config, status, times, error):
+        """Each way a run ends sets its status, its hitting-time keys and, for
+        a raised guard only, constants.error.  A guard raised after a helix
+        run wrote its files and its ``nu`` leaves only the error in a report
+        without a symmetry tag."""
+        def raising(profile):
+            raise NumericalGuard("raised after the files")
+
+        if config["scenario"] == "helix":
+            monkeypatch.setattr(runner, "_wave_record", raising)
+        report = run(parse_config_dict(config), tmp_path)
+        assert (report.status, report.exit_code) == (status, EXIT_CODES[status])
+        saved = load_status(tmp_path)
+        assert set(saved["hitting_times"]) == times
+        assert ("error" in saved["constants"]) == error
+        assert ("energy_cap" in saved["constants"]) == (status == "EnergyCapExceeded")
+        if config["scenario"] == "helix":
+            assert set(saved["constants"]) == {"error"} and saved["symmetry"] is None
+
+    @pytest.mark.parametrize(
         "kind,name",
         [("parallelogram", "point_reflection"), ("dilation", "C4"), ("gaussian", None)],
     )
@@ -677,6 +721,15 @@ class TestScenarioRuns:
         row = dict(zip(header.split(","), map(float, first.split(","))))
         assert row.pop("c2") == 1.95
         assert {key: profile.constants[key] for key in row} == row
+
+    def test_sweep_reports_the_requested_c2(self, tmp_path):
+        """The c2 column holds the values asked for, not sqrt(c2)**2, which
+        is an ulp or two off for six of these ten."""
+        cfg = scenario_defaults("traveling_wave")
+        cfg.L, cfg.M = 30.0, 1024
+        run(cfg, tmp_path, sweep="c2=1.99:1.90:10")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == list(np.linspace(1.99, 1.90, 10))
 
     def test_bad_sweep_equal_ends_is_config_error(self, tmp_path):
         cfg = scenario_defaults("traveling_wave")
@@ -1264,3 +1317,41 @@ def test_every_constant_is_read():
                 reads.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in constants.items()
                   if name not in reads) == []
+
+
+def test_every_default_is_set():
+    """Each defaulted parameter of a module-level package function is passed,
+    by position, by keyword or through ``**``, at some call of that name in
+    ``src``, ``tests`` or ``perfbench``; a default nothing overrides is a
+    fixed value, not an option."""
+    package = os.path.dirname(vfsim.__file__)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    defaults = {}
+    for path, tree in _source_trees(package):
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in named:
+                index = positional.index(arg) if arg in positional else None
+                defaults[(node.name, arg.arg)] = (index, f"{os.path.basename(path)}:{node.lineno}")
+    passed = set()
+    dirs = [os.path.join(root, name) for name in ("tests", "perfbench")]
+    for _, tree in _source_trees(os.path.dirname(package), *dirs):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            spread = any(k.arg is None for k in node.keywords)
+            for (fn, arg), (index, _) in defaults.items():
+                if fn == name and (
+                    spread or any(k.arg == arg for k in node.keywords)
+                    or (index is not None and (starred or index < len(node.args)))
+                ):
+                    passed.add((fn, arg))
+    assert sorted(f"{where} {fn}({arg}=)" for (fn, arg), (_, where) in defaults.items()
+                  if (fn, arg) not in passed) == []
