@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, DomainError
-from .grid import MAX_POINTS, MIN_POINTS
+from .grid import DEFAULT_BOUNDARY_TOL, MAX_POINTS, MIN_POINTS
+from .filaments import DELTA_MIN, ENERGY_CAP_FACTOR
+from .traveling_wave import WaveParams
 
 # Each scenario's preset: the ScenarioConfig values it changes.  The
 # collision preset pins the exact synchronized-collapse setup: the centered
@@ -53,47 +55,16 @@ _PRESETS = {
 }
 SCENARIOS = tuple(_PRESETS)
 
-BACKBONE_KINDS = ("square", "polygon", "polygon_center", "segment", "hexagon")
+# Each backbone kind: the vertex count it fixes (None: config.N sets it) and
+# whether a centre filament joins the vertices.
+BACKBONE_KINDS = {
+    "square": (4, False),
+    "polygon": (None, False),
+    "polygon_center": (None, True),
+    "segment": (2, True),
+    "hexagon": (6, False),
+}
 PERTURBATION_KINDS = ("gaussian", "dilation", "parallelogram", "file")
-
-# filament count implied by the fixed-shape kinds
-_FIXED_N = {"square": 4, "segment": 2, "hexagon": 6}
-
-
-@dataclass
-class ScenarioConfig:
-    """Validated scenario description with every default filled in."""
-
-    scenario: str
-    # backbone
-    kind: str = "square"
-    N: int = 4
-    R: float = 1.0
-    gamma: float = 1.0
-    gamma0: float | None = None
-    # wave parameters (reduced / traveling_wave / helix)
-    omega: float = 1.0
-    c2: float = 1.9
-    # grid
-    L: float = 128.0
-    M: int = 4096
-    # perturbation
-    pert_kind: str = "gaussian"
-    amp: float = 0.05
-    width: float = 1.0
-    center: float = 0.0
-    seed: int = 0
-    path: str | None = None
-    # time
-    T: float = 1.0
-    dt: float = 1e-3
-    sample_every: int = 10
-    # guards
-    delta_min: float = 1e-3
-    energy_cap_factor: float = 10.0
-    boundary_tol: float = 1e-10
-    # bookkeeping
-    raw: dict = field(default_factory=dict)
 
 
 def _reject_unknown(section: dict, known, where: str) -> None:
@@ -150,49 +121,70 @@ def _choice(allowed: tuple[str, ...]):
 
 
 _POSITIVE = _number()
-_REAL = _number(positive=False)
 # Backbone and wave scales: at 1e-100 and 1e100 every scenario still ends with
 # its own status, while 1e-200 and 1e200 end in a division by zero, an overflow
 # or an SVD that does not converge.
 _SCALE = _number(scale=(1e-100, 1e100))
 
-# The run-input schema: section -> key -> (ScenarioConfig attribute, parser).
-# parse_config_dict reads files through it and config_echo writes it back.
-# The guard levels may be +inf, which turns the guard off (see evolve_samples).
-SCHEMA = {
-    "config": {
-        "kind": ("kind", _choice(BACKBONE_KINDS)),
-        # the N(N - 1)/2 filament pairs stay within MAX_POINTS rows
-        "N": ("N", _integer(2, (1 + math.isqrt(1 + 8 * MAX_POINTS)) // 2)),
-        "R": ("R", _SCALE),
-        "gamma": ("gamma", _SCALE),
-        "gamma0": ("gamma0", _number(positive=False, optional=True, scale=(0.0, 1e100))),
-        "omega": ("omega", _SCALE),
-        "c2": ("c2", _SCALE),
-    },
-    "grid": {
-        "L": ("L", _POSITIVE),
-        "M": ("M", _integer(MIN_POINTS, MAX_POINTS)),
-    },
-    "perturbation": {
-        "kind": ("pert_kind", _choice(PERTURBATION_KINDS)),
-        "amp": ("amp", _POSITIVE),
-        "width": ("width", _POSITIVE),
-        "center": ("center", _REAL),
-        "seed": ("seed", _integer(0)),
-        "path": ("path", _path),
-    },
-    "time": {
-        "T": ("T", _POSITIVE),
-        "dt": ("dt", _POSITIVE),
-        "sample_every": ("sample_every", _integer(1)),
-    },
-    "guards": {
-        "delta_min": ("delta_min", _POSITIVE),
-        "energy_cap_factor": ("energy_cap_factor", _number(finite=False)),
-        "boundary_tol": ("boundary_tol", _number(finite=False)),
-    },
-}
+
+def _setting(key: str, parse, default):
+    """A ScenarioConfig field, read from the file key ``section.key`` by ``parse``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class ScenarioConfig:
+    """Validated scenario description with every default filled in."""
+
+    scenario: str
+    # backbone
+    kind: str = _setting("config.kind", _choice(tuple(BACKBONE_KINDS)), "square")
+    # the N(N - 1)/2 filament pairs stay within MAX_POINTS rows
+    N: int = _setting("config.N", _integer(2, (1 + math.isqrt(1 + 8 * MAX_POINTS)) // 2), 4)
+    R: float = _setting("config.R", _SCALE, 1.0)
+    gamma: float = _setting("config.gamma", _SCALE, 1.0)
+    gamma0: float | None = _setting(
+        "config.gamma0", _number(positive=False, optional=True, scale=(0.0, 1e100)), None)
+    # wave parameters (reduced / traveling_wave / helix)
+    omega: float = _setting("config.omega", _SCALE, 1.0)
+    c2: float = _setting("config.c2", _SCALE, 1.9)
+    # grid
+    L: float = _setting("grid.L", _POSITIVE, 128.0)
+    M: int = _setting("grid.M", _integer(MIN_POINTS, MAX_POINTS), 4096)
+    # perturbation
+    pert_kind: str = _setting("perturbation.kind", _choice(PERTURBATION_KINDS), "gaussian")
+    amp: float = _setting("perturbation.amp", _POSITIVE, 0.05)
+    width: float = _setting("perturbation.width", _POSITIVE, 1.0)
+    center: float = _setting("perturbation.center", _number(positive=False), 0.0)
+    seed: int = _setting("perturbation.seed", _integer(0), 0)
+    path: str | None = _setting("perturbation.path", _path, None)
+    # time
+    T: float = _setting("time.T", _POSITIVE, 1.0)
+    dt: float = _setting("time.dt", _POSITIVE, 1e-3)
+    sample_every: int = _setting("time.sample_every", _integer(1), 10)
+    # guards, at the solvers' own levels; +inf turns a guard off (see evolve_samples)
+    delta_min: float = _setting("guards.delta_min", _POSITIVE, DELTA_MIN)
+    energy_cap_factor: float = _setting(
+        "guards.energy_cap_factor", _number(finite=False), ENERGY_CAP_FACTOR)
+    boundary_tol: float = _setting(
+        "guards.boundary_tol", _number(finite=False), DEFAULT_BOUNDARY_TOL)
+    # bookkeeping
+    raw: dict = field(default_factory=dict)
+
+
+def _schema() -> dict:
+    """The run-input schema, section -> key -> (ScenarioConfig attribute,
+    parser) in field order: parse_config_dict reads files through it and
+    config_echo writes it back."""
+    schema = {}
+    for setting in fields(ScenarioConfig):
+        if "key" in setting.metadata:
+            section, key = setting.metadata["key"].split(".")
+            schema.setdefault(section, {})[key] = (setting.name, setting.metadata["parse"])
+    return schema
+
+
+SCHEMA = _schema()
 
 
 def scenario_defaults(scenario: str) -> ScenarioConfig:
@@ -240,8 +232,8 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
                     f"the collision scenario runs the closed-form collision "
                     f"profile and takes no perturbation, got {key}={getattr(cfg, attr)!r}",
                 )
-    if cfg.kind in _FIXED_N:
-        fixed = _FIXED_N[cfg.kind]
+    fixed, center = BACKBONE_KINDS[cfg.kind]
+    if fixed is not None:
         if "N" not in data.get("config", {}):
             cfg.N = fixed
         elif cfg.N != fixed:
@@ -251,7 +243,7 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
     # a filament run holds n(n - 1)/2 pair rows of M points (n counts a
     # centre) and a helix N fields of M; either stays within the largest table
     # the grid bound admits, the square's 6 pair rows at M = MAX_POINTS
-    n = cfg.N + (cfg.kind in ("polygon_center", "segment"))
+    n = cfg.N + center
     rows = {"square": n * (n - 1) // 2, "collision": n * (n - 1) // 2, "helix": cfg.N}
     if rows.get(tag, 0) * cfg.M > 6 * MAX_POINTS:
         raise ConfigError(
@@ -284,11 +276,6 @@ def _require_subsonic(c2: float, omega: float, where: str) -> None:
     """The travelling-wave window on a parsed c2, 1.8*omega < c2 < 2*omega:
     subsonic, and the slow-speed gap 2*omega - c2 that
     ``traveling_wave.WaveParams`` admits for the wave speed sqrt(c2)."""
-    # imported on use: imported with this module, the solver modules load
-    # before filaments.py, and the import's peak RSS rose by 0.3 MiB
-    # (CPython 3.11, numpy 2.x)
-    from .traveling_wave import WaveParams
-
     if not c2 < 2.0 * omega:
         raise ConfigError(
             where,

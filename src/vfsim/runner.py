@@ -27,14 +27,14 @@ import json
 import math
 import os
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import metadata
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA, ScenarioConfig, _FIXED_N, _require_subsonic, config_echo
+from .config import BACKBONE_KINDS, SCHEMA, ScenarioConfig, _require_subsonic, config_echo
 from .errors import (
     BoundaryContaminated,
     CollisionDetected,
@@ -189,12 +189,13 @@ def write_status(out_dir, report: RunReport) -> str:
 
 def build_backbone(cfg: ScenarioConfig) -> VortexConfig:
     """The point-vortex configuration described by the config section; the
-    fixed-shape kinds take their vertex count from ``config._FIXED_N``."""
-    n = _FIXED_N.get(cfg.kind, cfg.N)
-    if cfg.kind in ("square", "polygon", "hexagon"):
-        return polygon_config(n, cfg.R, cfg.gamma)
-    if cfg.kind not in ("polygon_center", "segment"):
+    vertex count and centre of each kind come from ``config.BACKBONE_KINDS``."""
+    if cfg.kind not in BACKBONE_KINDS:
         raise ConfigError("config.kind", f"unknown backbone kind {cfg.kind!r}")
+    fixed, center = BACKBONE_KINDS[cfg.kind]
+    n = cfg.N if fixed is None else fixed
+    if not center:
+        return polygon_config(n, cfg.R, cfg.gamma)
     gamma0 = cfg.gamma0
     if gamma0 is None:
         # a segment's centre is one more equal filament; a polygon's takes the
@@ -297,10 +298,10 @@ def _run_point_vortex(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fiel
     vortex = build_backbone(cfg)
     traj = integrate(vortex, cfg.T, cfg.dt)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
+    report.files.append("trajectory.csv")
 
     for key, series in traj.invariant_series.items():
         report.constants[f"drift_{key}"] = _drift(series)
-    report.files = ["trajectory.csv"]
 
 
 def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
@@ -310,12 +311,12 @@ def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields:
         rows.append((n, float(np.max(eigs.real)), verdict))
     write_csv(os.path.join(out_dir, "stability.csv"),
               ["N", "max_re_lambda", "verdict"], list(zip(*rows)))
+    report.files.append("stability.csv")
 
     for n, lam, verdict in rows:
         if n == cfg.N:
             report.constants["max_re_lambda"] = lam
             report.constants["verdict"] = verdict
-    report.files = ["stability.csv"]
 
 
 def _run_reduced(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
@@ -347,11 +348,10 @@ def _stream(out_dir, report: RunReport, dump_fields: bool, samples,
     """Consume a run's (fields, row, halt) samples, fields None for a halt
     that keeps the sample before it: dump each sample's fields as they
     arrive if asked, then drop them, and write the rows to energies.csv once
-    with ``write_rows``.  Returns the rows and the last yielded halt; a guard
-    raised after the first sample ends ``report`` through ``_end`` (one
-    raised before it propagates)."""
+    with ``write_rows``, listed before the dumps.  Returns the rows and the
+    last yielded halt; a guard raised after the first sample ends ``report``
+    through ``_end`` (one raised before it propagates)."""
     rows, halt = [], None
-    report.files = ["energies.csv"]
     try:
         for fields, row, halt in samples:
             if fields is None:
@@ -366,6 +366,7 @@ def _stream(out_dir, report: RunReport, dump_fields: bool, samples,
             raise
         _end(report, exc, raised=True)
     write_rows(os.path.join(out_dir, "energies.csv"), rows)
+    report.files.insert(0, "energies.csv")
     return rows, halt
 
 
@@ -471,13 +472,13 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, report: RunReport,
     c2_values = None if sweep is None else _parse_sweep(sweep, cfg.omega)
     grid = make_grid(cfg.L, cfg.M)
     name = out_name or ("sweep.csv" if sweep else "profile.csv")
-    report.files = [name]
 
     if c2_values is None:
         profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
         v = profile.v.values
         write_csv(os.path.join(out_dir, name), ["sigma", "eta", "theta", "re_v", "im_v"],
                   [grid.nodes, profile.eta, profile.theta, v.real, v.imag])
+        report.files.append(name)
         report.constants.update(_wave_record(profile))
         return
 
@@ -488,6 +489,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, report: RunReport,
     names = ["c2", "sigma1", "energy", "phase_jump", "residual"]
     write_csv(os.path.join(out_dir, name), names,
               [[row[key] for row in rows] for key in names])
+    report.files.append(name)
     # fitted exponents against the subsonic gap 2 omega - c^2: the wave
     # energy closes the gap like gap^(3/2), the tail onset sigma1 like gap
     gaps = np.array([2.0 * cfg.omega - row["c2"] for row in rows])
@@ -501,6 +503,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, report: RunReport,
         np.polyfit(log_gaps, np.log(sig1), 1)[0]
     )
     report.constants["max_residual"] = max(row["residual"] for row in rows)
+    report.constants["max_box_margin"] = max(row["box_margin"] for row in rows)
 
 
 def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
@@ -509,15 +512,14 @@ def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: boo
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
     k_idx = max(round(math.sqrt(cfg.omega) * grid.half_length / math.pi), 1)
     nu = math.pi * k_idx / grid.half_length
-    files = ["helix_t0.csv", "helix_t1.csv"]
-    for name, t in zip(files, (0.0, cfg.T)):
+    for name, t in (("helix_t0.csv", 0.0), ("helix_t1.csv", cfg.T)):
         # one time's fields are alive at a time, and none under residual_tw
         write_fields_csv(os.path.join(out_dir, name), grid,
                          helix_filaments(profile, cfg.N, nu, time=t))
+        report.files.append(name)
 
     report.constants["nu"] = nu
     report.constants.update(_wave_record(profile))
-    report.files = files
 
 
 _DISPATCH = {
@@ -538,9 +540,10 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
         sweep: str | None = None, out_name: str | None = None) -> RunReport:
     """Run one scenario, write its files and status.json, return the report.
 
-    The scenario runner fills the report made here.  A guard or error that
-    reaches this function is converted into a fresh report with the matching
-    status and exit code rather than propagating; the caller turns
+    The scenario runner fills the report made here, listing each file once
+    written.  A guard or error that reaches this function is converted into a
+    fresh report with the matching status and exit code and the files written
+    so far, rather than propagating; the caller turns
     ``report.exit_code`` into the process exit status.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -552,7 +555,7 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
             _DISPATCH[cfg.scenario](cfg, out_dir, report, dump_fields)
         _check_files(out_dir, report.files)
     except VfsimError as exc:
-        report = _base_report(cfg)
+        report = replace(_base_report(cfg), files=report.files)
         _end(report, exc, raised=True)
     write_status(out_dir, report)
     return report

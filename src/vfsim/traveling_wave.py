@@ -581,17 +581,20 @@ def helix_filaments(
 
 
 def _wave_record(profile: WaveProfile) -> dict:
-    """What a run reports of one wave: sigma1, energy, phase_jump and residual_tw."""
+    """What a run reports of one wave: sigma1, energy, phase_jump, residual_tw
+    and box_margin, the tail's decay length 1/sqrt(2 omega - c^2) over the
+    half-box L (where it is not small, the box cuts the tail)."""
     return {
         "sigma1": profile.sigma1,
         "energy": profile.energy,
         "phase_jump": profile.phase_jump,
         "residual": residual_tw(profile.v, profile.params),
+        "box_margin": 1.0 / (math.sqrt(profile.params.gap) * profile.grid.half_length),
     }
 
 
 def sweep_waves(params_list: list[WaveParams], grid: Grid1D) -> list[dict]:
-    """Build each wave and collect (c^2, sigma1, energy, phase_jump, residual) records.
+    """Build each wave and collect its c^2 and its ``_wave_record``.
 
     One profile is alive at a time: each is dropped once its record is made,
     before the next one is built.

@@ -16,7 +16,9 @@ Covered here:
     is finite except the two guard levels (+inf turns them off), the
     backbone and wave scales lie in [1e-100, 1e100], M has
     make_grid's lower bound, a collision refuses any perturbation value
-    other than its preset's, and the echo reads back as the same config.
+    other than its preset's, the echo reads back as the same config, every
+    field but scenario and raw is a file key that round-trips, and the
+    guard defaults are the solvers' own levels.
 """
 
 import dataclasses
@@ -25,8 +27,10 @@ import math
 
 import pytest
 
+from vfsim import filaments, grid
 from vfsim.config import (
     SCENARIOS,
+    SCHEMA,
     ScenarioConfig,
     config_echo,
     parse_config,
@@ -35,6 +39,32 @@ from vfsim.config import (
 )
 from vfsim.errors import ConfigError
 from vfsim.grid import MAX_POINTS, MIN_POINTS
+
+
+# each setting: a scenario, and an admissible value off that scenario's preset
+SETTINGS = {
+    "kind": ("square", "polygon"),
+    "N": ("stability", 5),
+    "R": ("square", 2.0),
+    "gamma": ("square", 0.5),
+    "gamma0": ("square", -1.5),
+    "omega": ("reduced", 1.5),
+    "c2": ("traveling_wave", 1.95),
+    "L": ("square", 64.0),
+    "M": ("square", 2048),
+    "pert_kind": ("square", "dilation"),
+    "amp": ("square", 0.1),
+    "width": ("square", 2.0),
+    "center": ("square", -1.0),
+    "seed": ("square", 7),
+    "path": ("square", "fields.csv"),
+    "T": ("square", 2.0),
+    "dt": ("square", 5e-4),
+    "sample_every": ("square", 5),
+    "delta_min": ("square", 0.01),
+    "energy_cap_factor": ("square", 20.0),
+    "boundary_tol": ("square", 1e-8),
+}
 
 
 def err(data, scenario=None) -> ConfigError:
@@ -347,6 +377,27 @@ class TestSchema:
         echo = config_echo(scenario_defaults("collision"))
         again = dataclasses.replace(parse_config_dict(echo), raw={})
         assert again == scenario_defaults("collision")
+
+    def test_every_setting_round_trips(self):
+        """Each ScenarioConfig field but scenario and raw is a file key: a
+        file that sets only it to a value off its preset holds that value,
+        and its echo reads back as the same config."""
+        where = {attr: (section, key)
+                 for section, keys in SCHEMA.items() for key, (attr, _) in keys.items()}
+        settings = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert settings[0] == "scenario" and settings[-1] == "raw"
+        assert list(where) == settings[1:-1] == list(SETTINGS)
+        for attr, (scenario, value) in SETTINGS.items():
+            section, key = where[attr]
+            cfg = parse_config_dict({"scenario": scenario, section: {key: value}})
+            assert getattr(cfg, attr) == value != getattr(scenario_defaults(scenario), attr)
+            again = parse_config_dict(config_echo(cfg))
+            assert dataclasses.replace(again, raw={}) == dataclasses.replace(cfg, raw={})
+
+    def test_guard_defaults_are_the_solvers(self):
+        cfg = scenario_defaults("square")
+        assert (cfg.delta_min, cfg.energy_cap_factor, cfg.boundary_tol) == (
+            filaments.DELTA_MIN, filaments.ENERGY_CAP_FACTOR, grid.DEFAULT_BOUNDARY_TOL)
 
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "binary.json"

@@ -1,8 +1,9 @@
 """Tests for the scenario runners and the command line front end.
 
 Covered here:
-  * builders: backbone kinds (including default center circulations, and
-    the count of a fixed-shape kind whatever the field N),
+  * builders: backbone kinds (including default center circulations, the
+    count of a fixed-shape kind whatever the field N, each kind's
+    ``BACKBONE_KINDS`` row, and a hand-built unknown kind),
     perturbation kinds with determinism, antisymmetry and file round
     trip, grid mismatch rejection, the collision preset's state equal to
     ``collision_initial_state``,
@@ -16,10 +17,12 @@ Covered here:
     of H and A in every filament run's constants, one point-vortex drift
     per invariant, and one wave record (a profile run's constants equal
     to the sweep's row, the helix's energy equal to the profile run's),
-    a sweep's c2 column equal to the requested values,
+    a sweep's c2 column equal to the requested values, each wave run's box
+    margin (a sweep's largest),
   * guard mapping: one table of how a run ends (its status, its
     hitting-time keys, constants.error for a raised guard only, and no
-    partial constants once a raised guard reaches ``run``),
+    partial constants once a raised guard reaches ``run``, which keeps the
+    files already written listed),
     a collision maps to exit code 3 with hitting times,
     a collision run that leaves its box to exit code 5 with its boundary
     time, a reduced run that leaves its box to exit code 5 with the
@@ -70,7 +73,13 @@ import vfsim
 from vfsim import _pcg64, filaments, point_vortex, runner
 from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
-from vfsim.config import SCHEMA, ScenarioConfig, parse_config_dict, scenario_defaults
+from vfsim.config import (
+    BACKBONE_KINDS,
+    SCHEMA,
+    ScenarioConfig,
+    parse_config_dict,
+    scenario_defaults,
+)
 from vfsim.errors import ConfigError, NumericalGuard
 from vfsim.grid import make_grid, write_fields_csv
 from vfsim.runner import (
@@ -124,6 +133,20 @@ class TestBuildBackbone:
     def test_fixed_shape_kind_sets_the_count(self, kind, count):
         """The kind, not the field N (left at its default 4), sets the count."""
         assert build_backbone(ScenarioConfig(scenario="square", kind=kind)).count == count
+
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_each_kind_builds_its_table_row(self, kind):
+        """A kind's vertex count (N where it fixes none) and centre are its
+        ``BACKBONE_KINDS`` row."""
+        fixed, center = BACKBONE_KINDS[kind]
+        vortex = build_backbone(ScenarioConfig(scenario="square", kind=kind, N=5))
+        assert vortex.count == (5 if fixed is None else fixed) + center
+        assert vortex.has_center == center
+
+    def test_unknown_kind_of_a_hand_built_config(self):
+        with pytest.raises(ConfigError) as info:
+            build_backbone(ScenarioConfig(scenario="square", kind="circle"))
+        assert info.value.field == "config.kind"
 
 
 class TestBuildFilamentState:
@@ -506,6 +529,20 @@ class TestScenarioRuns:
         if config["scenario"] == "helix":
             assert set(saved["constants"]) == {"error"} and saved["symmetry"] is None
 
+    def test_a_raised_run_lists_the_files_it_wrote(self, tmp_path, monkeypatch):
+        """A guard raised after a helix wrote its two files leaves both listed
+        in status.json, exactly the files beside it."""
+        def raising(profile):
+            raise NumericalGuard("raised after the files")
+
+        monkeypatch.setattr(runner, "_wave_record", raising)
+        cfg = scenario_defaults("helix")
+        cfg.L, cfg.M = 30.0, 1024
+        report = run(cfg, tmp_path)
+        assert report.status == "NumericalGuard"
+        assert load_status(tmp_path)["files"] == report.files == ["helix_t0.csv", "helix_t1.csv"]
+        assert sorted(os.listdir(tmp_path)) == sorted(report.files + ["status.json"])
+
     @pytest.mark.parametrize(
         "kind,name",
         [("parallelogram", "point_reflection"), ("dilation", "C4"), ("gaussian", None)],
@@ -746,6 +783,23 @@ class TestScenarioRuns:
         energy = run(wave, tmp_path / "wave").constants["energy"]
         run(helix, tmp_path / "helix")
         assert load_status(tmp_path / "helix")["constants"]["energy"] == energy
+
+    def test_wave_runs_report_their_box_margin(self, tmp_path):
+        """A profile and a helix report their tail's decay length over the
+        half-box, 1/(sqrt(2 omega - c2) L); a sweep reports its waves' largest."""
+        wave, helix = scenario_defaults("traveling_wave"), scenario_defaults("helix")
+        wave.L = helix.L = 30.0
+        wave.M = helix.M = 1024
+        margin = 1.0 / (math.sqrt(2.0 * wave.omega - wave.c2) * wave.L)
+        for cfg in (wave, helix):
+            run(cfg, tmp_path / cfg.scenario)
+            saved = load_status(tmp_path / cfg.scenario)["constants"]["box_margin"]
+            assert saved == pytest.approx(margin, rel=1e-12)
+        run(wave, tmp_path / "sweep", sweep="c2=1.99:1.90:4")
+        margins = [1.0 / (math.sqrt(2.0 * wave.omega - c2) * wave.L)
+                   for c2 in np.linspace(1.99, 1.90, 4)]
+        saved = load_status(tmp_path / "sweep")["constants"]["max_box_margin"]
+        assert saved == pytest.approx(max(margins), rel=1e-12)
 
     def test_helix(self, tmp_path):
         cfg = scenario_defaults("helix")
