@@ -244,7 +244,8 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
     # centre) and a helix N fields of M; either stays within the largest table
     # the grid bound admits, the square's 6 pair rows at M = MAX_POINTS
     n = cfg.N + center
-    rows = {"square": n * (n - 1) // 2, "collision": n * (n - 1) // 2, "helix": cfg.N}
+    pairs = n * (n - 1) // 2
+    rows = {"square": pairs, "collision": pairs, "helix": cfg.N}
     if rows.get(tag, 0) * cfg.M > 6 * MAX_POINTS:
         raise ConfigError(
             "config.N", f"N = {cfg.N} makes {rows[tag]} rows of M = {cfg.M} points; "
@@ -269,6 +270,13 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             "time.T", f"T/dt = {cfg.T / cfg.dt:.6g} steps, more than the {MAX_POINTS} "
             "a point-vortex path may store",
         )
+    # and holds an n x n(n - 1)/2 velocity matrix and max(n, n(n - 1)/2)
+    # invariant terms per step, within the filament tables' bound
+    tables = {"config.N": n * pairs, "time.T": cfg.T / cfg.dt * max(n, pairs)}
+    for where, size in tables.items():
+        if tag == "point_vortex" and not size <= 6 * MAX_POINTS:
+            raise ConfigError(where, f"N = {cfg.N} and T/dt = {cfg.T / cfg.dt:.6g} make "
+                              f"a point-vortex table of {size:.6g} > {6 * MAX_POINTS} entries")
     return cfg
 
 

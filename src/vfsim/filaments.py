@@ -521,7 +521,8 @@ class EvolutionResult:
 
     ``halt_time`` is None for a completed run; for a collision it carries the
     detection time together with ``collision_sigma`` and ``collision_pair``;
-    for the energy cap and boundary guards it is the first flagged sample.
+    for the boundary guard it is the end of the failing step, and for the
+    energy cap the first sample above the cap.
     """
 
     status: str
@@ -560,24 +561,6 @@ def default_energy_cap(
     return factor * scale
 
 
-def _interaction_vanishes(cfg: VortexConfig, orbits: Orbits) -> bool:
-    """Whether the interaction term is identically zero along the run.
-
-    With one orbit representative r every filament is Psi_j = X_j Phi,
-    Phi = 1 + u_r/X_r (an orbit without a representative, a fixed centre,
-    has X = u = 0).  Then Psi_r - Psi_k = (X_r - X_k) Phi, and the sum of r
-    is (1/conj(Phi) - 1) S_r with S_r = sum_{k != r} Gamma_k /
-    conj(X_r - X_k), which vanishes exactly on a stationary backbone
-    (omega = 0), to SYMMETRY_TOL of its terms here.
-    """
-    if orbits.trivial or orbits.reps.size != 1:
-        return False
-    x = cfg.positions
-    others = np.arange(cfg.count) != orbits.reps[0]
-    terms = cfg.circulations[others] / np.conj(x[orbits.reps[0]] - x[others])
-    return abs(terms.sum()) <= SYMMETRY_TOL * float(np.sum(np.abs(terms)))
-
-
 def _armed_cap(state: FilamentState, report: EnergyReport, energy_cap: float | None,
                factor: float) -> float | None:
     """``energy_cap``, else the default cap; None unless positive and finite."""
@@ -607,14 +590,16 @@ def evolve_samples(
     times t, t+dt/2, t+dt.  A tagged state evolves only its orbit
     representatives, on the distinct pair rows their sums need, and every
     snapshot expands them to u_j = a_j u_r and keeps the tag.  On a single
-    orbit over a stationary backbone (``_interaction_vanishes``) N is the
-    identity: the loop advances the free flow in blocks of steps and
-    guards the separation of a block's midpoints at once, halting at the
-    step a step-by-step check would.  Every separation there is
-    |X_jk| |Phi|, so the guard checks only the pair rows nearest on the
-    backbone, which hold the first minimum.  The free flow keeps |fft(u_r)|,
-    so a guarded row psi_jk = X_jk(t) + c_jk v moves at most at rate =
-    max|c_jk| speed + |omega| max|X_jk|, speed = |Gamma_r| sum_xi xi^2
+    orbit every filament is Psi_j = X_j Phi, the interaction sum of r is
+    (1/conj(Phi) - 1) sum_{k != r} Gamma_k / conj(X_r - X_k), and that sum
+    is omega X_r on the rigidly rotating backbone, so when it declares
+    omega == 0 N is the identity: the loop advances the free flow in
+    blocks of steps and guards the separation of a block's midpoints at
+    once, halting at the step a step-by-step check would.  Every
+    separation there is |X_jk| |Phi|, so the guard checks only the pair
+    rows nearest on the backbone, which hold the first minimum.  The free
+    flow keeps |fft(u_r)|, so a guarded row psi_jk = X_jk + c_jk v moves at
+    most at rate = max|c_jk| speed, speed = |Gamma_r| sum_xi xi^2
     |fft(u_r)(xi)| / M, set once per run.  After each guard call no step
     that starts before the horizon t_1 + (min|psi(t_1)| - threshold -
     slack) / rate, t_1 the last step checked, can reach the threshold, so
@@ -651,31 +636,31 @@ def evolve_samples(
     energy_cap = _armed_cap(state, report, energy_cap, energy_cap_factor)
 
     cfg = state.cfg
-    omega = cfg.omega if cfg.omega is not None else 0.0
     grid = state.grid
     x0 = cfg.positions
     orbits = Orbits(state.symmetry, state.count)
     u_vals = _values_matrix(state)[orbits.reps]
     threshold = delta_min * min_separation(cfg)
 
-    if _interaction_vanishes(cfg, orbits):
+    if not orbits.trivial and orbits.reps.size == 1 and cfg.omega == 0.0:
         pairs, _, _, coeffs = pair_rows(cfg, orbits)
         guard_rows = pairs[0].size  # the blocks stay sized for every row
         # every row is X_jk Phi, so only the rows nearest on the backbone
         # can hold the first minimum: a row 1e-6 further out exceeds them by
         # 1e-6 |X_jk| |Phi|, near the threshold far above the roundoff
         # eps |X_jk| of |X_jk + c_jk v| unless delta_min is below ~1e-9
-        gaps = np.abs(x0[pairs[0]] - x0[pairs[1]])
+        x_jk = x0[pairs[0]] - x0[pairs[1]]
+        gaps = np.abs(x_jk)
         near = gaps <= (1.0 + 1e-6) * gaps.min()
         pairs, coeffs = (pairs[0][near], pairs[1][near]), coeffs[near]
-        j, k = pairs
+        x_jk = x_jk[near, None]
         # the speed bound and the roundoff slack of the horizon (see above)
         m = grid.num_points
         spectrum = np.abs(np.fft.fft(u_vals, axis=1))
         gap, reach = float(gaps[near].max()), float(np.abs(coeffs).max())
         speed = abs(float(cfg.circulations[orbits.reps[0]])) * float(
             np.sum(grid.wavenumbers**2 * spectrum)) / m
-        rate = reach * speed + abs(omega) * gap
+        rate = reach * speed
         drift = 8.0 * math.ulp(1.0) * n_steps * math.sqrt(m) * math.log2(m)
         slack = (1e-8 + drift) * (gap + reach * float(spectrum.sum()) / m)
         safe = -math.inf  # no step before this time can reach the threshold
@@ -683,8 +668,7 @@ def evolve_samples(
         def guard(v: np.ndarray, times: list[float]):
             # the free flow: N is the identity, so only guard the midpoints
             nonlocal safe
-            xs = np.exp(1j * omega * np.array(times))[:, None] * x0
-            psi = (xs[:, j] - xs[:, k])[:, :, None] + coeffs * v
+            psi = x_jk + coeffs * v
             dist = np.empty(psi.shape)
             halt = _separation_halt(psi, dist, threshold, times, grid.nodes, pairs)
             safe = -math.inf
@@ -697,6 +681,7 @@ def evolve_samples(
         flow = dict(guard=guard, guard_rows=guard_rows, horizon=lambda: safe)
     else:
         rhs = _pair_kernel(cfg, threshold, grid.nodes, orbits)
+        omega = cfg.omega if cfg.omega is not None else 0.0
 
         def rate(vals: np.ndarray, t: float, out: np.ndarray) -> None:
             xs = np.exp(1j * omega * t) * x0

@@ -81,7 +81,7 @@ from vfsim.config import (
     scenario_defaults,
 )
 from vfsim.errors import ConfigError, NumericalGuard
-from vfsim.grid import make_grid, write_fields_csv
+from vfsim.grid import MAX_POINTS, make_grid, write_fields_csv
 from vfsim.runner import (
     EXIT_CODES,
     build_backbone,
@@ -111,6 +111,15 @@ class TestBuildBackbone:
         vortex = build_backbone(cfg)
         assert vortex.count == 5 and vortex.has_center
         assert vortex.omega == pytest.approx(0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 12), st.floats(1e-100, 1e100), st.floats(1e-100, 1e100))
+    def test_polygon_center_default_is_exactly_stationary(self, n, gamma, radius):
+        """The default centre -(N-1) gamma/2 cancels the vertices' rate bit
+        for bit over the schema's scales, so such a run takes the free flow."""
+        cfg = ScenarioConfig(scenario="square", kind="polygon_center", N=n,
+                             gamma=gamma, R=radius)
+        assert build_backbone(cfg).omega == 0.0
 
     def test_polygon_center_explicit_gamma0(self):
         cfg = ScenarioConfig(
@@ -463,6 +472,26 @@ class TestScenarioRuns:
         assert len(dumps) == 3  # t = 0, 0.1, 0.2
         for name in report.files:
             assert (tmp_path / name).stat().st_size > 0
+
+    def test_collision_off_stationary_runs_the_pair_kernel(self, tmp_path, monkeypatch):
+        """A centre circulation 2^-40 off -3/2 rotates the backbone at
+        omega ~ 9e-13: the run steps the pair kernel, not the free flow,
+        and still collides where the preset does."""
+        exact, built = filaments._pair_kernel, []
+
+        def recording(*args):
+            built.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(filaments, "_pair_kernel", recording)
+        cfg = parse_config_dict({"config": {"gamma0": -1.5 + 2.0**-40}}, "collision")
+        assert 0.0 < build_backbone(cfg).omega < 1e-12
+        report = run(cfg, tmp_path)
+        assert built == [1]
+        assert report.status == "CollisionDetected"
+        hit = report.hitting_times
+        assert (hit["collision_time"], tuple(hit["pair"]), hit["sigma_star"]) == (
+            0.99, (0, 1), 0.0)
 
     def test_collision_exit_code(self, tmp_path):
         cfg = scenario_defaults("collision")
@@ -1146,6 +1175,31 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config.N" in err and "<=" in err
+        assert peak < 2**20
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data,field",
+        [({"config": {"kind": "polygon", "N": 600}}, "config.N"),
+         ({"config": {"kind": "polygon", "N": 20}, "time": {"T": 1e4, "dt": 1e-3}},
+          "time.T")],
+        ids=["velocity-matrix", "path-table"],
+    )
+    def test_point_vortex_table_beyond_the_grid_bound_exits_2_before_allocating(
+            self, tmp_path, capsys, data, field):
+        data = {"scenario": "point_vortex", "time": {"T": 1e-7, "dt": 1e-7}} | data
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["point-vortex", "--config", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err and str(6 * MAX_POINTS) in err
         assert peak < 2**20
         assert not out.exists()
 
