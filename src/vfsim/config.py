@@ -15,9 +15,10 @@ Every key is optional (scenario presets fill the rest), unknown keys are
 rejected, and every violation raises ConfigError carrying the dotted field
 path.  Every number must be finite, except the two guard levels
 ``energy_cap_factor`` and ``boundary_tol``, where +inf turns the guard off,
-and the scales ``R``, ``gamma``, ``omega`` and ``c2`` lie in [1e-100, 1e100]
-and ``|gamma0|`` <= 1e100.  The reduced, traveling_wave and helix scenarios use the ``config``
-section for their wave parameters (``omega``, ``c2``) instead of a backbone.
+and the scales ``R``, ``gamma``, ``omega``, ``c2``, ``L`` and ``width`` lie
+in [1e-100, 1e100] and ``|gamma0|`` <= 1e100.  The reduced, traveling_wave
+and helix scenarios use the ``config`` section for their wave parameters
+(``omega``, ``c2``) instead of a backbone.
 The collision scenario runs its closed-form profile, so a ``perturbation``
 value other than its preset's is a ConfigError on ``perturbation``.
 """
@@ -121,9 +122,9 @@ def _choice(allowed: tuple[str, ...]):
 
 
 _POSITIVE = _number()
-# Backbone and wave scales: at 1e-100 and 1e100 every scenario still ends with
-# its own status, while 1e-200 and 1e200 end in a division by zero, an overflow
-# or an SVD that does not converge.
+# Backbone, wave, box and bump scales: at 1e-100 and 1e100 every scenario still
+# ends with its own status, while 1e-200 and 1e200 end in a division by zero, an
+# overflow, NaN grid nodes or an SVD that does not converge.
 _SCALE = _number(scale=(1e-100, 1e100))
 
 
@@ -149,12 +150,12 @@ class ScenarioConfig:
     omega: float = _setting("config.omega", _SCALE, 1.0)
     c2: float = _setting("config.c2", _SCALE, 1.9)
     # grid
-    L: float = _setting("grid.L", _POSITIVE, 128.0)
+    L: float = _setting("grid.L", _SCALE, 128.0)
     M: int = _setting("grid.M", _integer(MIN_POINTS, MAX_POINTS), 4096)
     # perturbation
     pert_kind: str = _setting("perturbation.kind", _choice(PERTURBATION_KINDS), "gaussian")
     amp: float = _setting("perturbation.amp", _POSITIVE, 0.05)
-    width: float = _setting("perturbation.width", _POSITIVE, 1.0)
+    width: float = _setting("perturbation.width", _SCALE, 1.0)
     center: float = _setting("perturbation.center", _number(positive=False), 0.0)
     seed: int = _setting("perturbation.seed", _integer(0), 0)
     path: str | None = _setting("perturbation.path", _path, None)

@@ -390,22 +390,6 @@ class EnergyReport:
     pair_norm_max: float = 0.0
 
 
-def _log_ratio(rel: np.ndarray) -> np.ndarray:
-    """ln(1 + rel) with rel = |Psi_jk|^2/|X_jk|^2 - 1, safe on both ends.
-
-    Uses log1p for full accuracy near ratio 1; ratios at or below zero are
-    clamped at 1e-300, which only ever matters for reports taken after a
-    collision flag.
-    """
-    ratio = 1.0 + rel
-    good = ratio > 0.5
-    return np.where(
-        good,
-        np.log1p(np.where(good, rel, 0.0)),
-        np.log(np.maximum(ratio, 1e-300)),
-    )
-
-
 def _sq_norms(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
     """Squared L2 norm of each row of a (rows, M) array."""
     return grid.spacing * np.sum(np.abs(rows) ** 2, axis=-1)
@@ -466,7 +450,8 @@ def energies(state: FilamentState) -> EnergyReport:
     def pair_integral(dens: np.ndarray) -> float:
         return float(quad_trapezoid(grid, np.sum(gg * dens, axis=0)))
 
-    log_ratio = _log_ratio(rel)
+    # every xd_sq + pair_dens > 0 here, so rel > -1 and the log is finite
+    log_ratio = np.log1p(rel)
     h_quant = kinetic - 0.5 * pair_integral(log_ratio)
     t_quant = pair_integral(pair_dens)
     i_quant = 0.5 * pair_integral(rel)

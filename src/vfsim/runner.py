@@ -204,13 +204,15 @@ def build_backbone(cfg: ScenarioConfig) -> VortexConfig:
     return polygon_config(n, cfg.R, cfg.gamma, center_circulation=gamma0)
 
 
+@np.errstate(over="ignore")
 def _random_bump(rng: SeededUniform, grid: Grid1D, amp: float,
                  width: float) -> np.ndarray:
     """A decaying complex profile: three modulated Gaussian bumps.
 
     The modulation wavenumber is kept inside each bump's own bandwidth
     (|k| <= 1/w) so the group transport over a long run stays bounded by
-    2 gamma t / w and the tails cannot race to the domain ends.
+    2 gamma t / w and the tails cannot race to the domain ends.  An exponent
+    past the float range gives exp(-inf) = 0, the bump's exact limit.
     """
     vals = np.zeros(grid.num_points, dtype=np.complex128)
     for _ in range(3):
@@ -244,6 +246,7 @@ def _read_field_file(path, grid: Grid1D, count: int) -> list[np.ndarray]:
     return arrays
 
 
+@np.errstate(over="ignore")  # as in _random_bump: a too-large exponent gives 0
 def _gaussian_profile(cfg: ScenarioConfig, grid: Grid1D) -> np.ndarray:
     return cfg.amp * np.exp(-(((grid.nodes - cfg.center) / cfg.width) ** 2))
 

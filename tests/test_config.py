@@ -14,7 +14,8 @@ Covered here:
   * file handling: JSON round trip, unreadable paths, invalid JSON,
   * the schema: the empty file is each scenario's preset, every number
     is finite except the two guard levels (+inf turns them off), the
-    backbone and wave scales lie in [1e-100, 1e100], M has
+    backbone and wave scales, the half length L and the bump width lie
+    in [1e-100, 1e100], M has
     make_grid's lower bound, a collision refuses any perturbation value
     other than its preset's, the echo reads back as the same config, every
     field but scenario and raw is a file key that round-trips, and the
@@ -359,6 +360,22 @@ class TestSchema:
             assert (cfg.R, cfg.gamma, cfg.omega, cfg.c2) == (value,) * 4
         for gamma0 in (0.0, -1e100, 1e100):
             assert parse_config_dict({"config": {"gamma0": gamma0}}, "collision").gamma0 == gamma0
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("grid", "L", 1e101), ("grid", "L", 1e200), ("grid", "L", 1e308),
+         ("grid", "L", 9e-101), ("perturbation", "width", 1e-101),
+         ("perturbation", "width", 1e-300), ("perturbation", "width", 2e100)],
+    )
+    def test_grid_and_width_scales_outside_their_bounds(self, section, key, value):
+        e = err({"scenario": "square", section: {key: value}})
+        assert e.field == f"{section}.{key}" and "1e+100" in e.reason
+
+    def test_grid_and_width_scales_at_their_bounds(self):
+        for value in (1e-100, 1e100):
+            cfg = parse_config_dict({"grid": {"L": value}, "perturbation": {"width": value}},
+                                    "square")
+            assert (cfg.L, cfg.width) == (value, value)
 
     def test_null_only_where_the_default_is(self):
         assert err({"scenario": "square", "config": {"R": None}}).field == "config.R"

@@ -10,6 +10,8 @@ Covered here:
     energy on dilation data, the rotation identity 2I = omega A, and the
     square / segment / hexagon energy identities together with a
     wrong-coefficient variant, and their BoundViolated check under python -O;
+    energies() raises CollisionDetected on a separation its expanded
+    density cannot resolve, and keeps the pair log finite just above it;
     doubling any one coefficient of their table raises BoundViolated;
     their one precondition refuses a count, centre, radius, vertex or
     circulation off by 1e-9,
@@ -66,8 +68,10 @@ Covered here:
     profile, naming the field, without a RuntimeWarning,
   * the unordered pair layout of the snapshot quantities: energies(),
     max_pair_norm and the pair-norm growth constant agree with ordered
-    double-loop references, a lone filament has min_sep = inf and
-    sup_ratio_dev = 0, and equal grids built separately are accepted.
+    double-loop references, pair_rows keeps one row per key up to sign on
+    every C_N tag and the point reflection, a lone filament has
+    min_sep = inf and sup_ratio_dev = 0, and equal grids built separately
+    are accepted.
 """
 
 import dataclasses
@@ -459,6 +463,36 @@ class TestPairLayout:
             growth.pair_norm_C, loop_pair_norm_C(states, reports), "pair_norm_C"
         )
 
+    @pytest.mark.parametrize(
+        "cfg,sym",
+        [(polygon_config(n, 1.0, 1.0, center_circulation=c), None)
+         for n in range(2, 13) for c in (None, -1.0)]
+        + [(SQUARE, point_reflection())],
+        ids=[f"C{n}" + ("+center" if c else "") for n in range(2, 13) for c in (None, -1.0)]
+        + ["point-reflection"],
+    )
+    def test_pair_rows_are_the_distinct_keys(self, cfg, sym):
+        """Each ordered pair (r, k) of a representative is its gathered
+        row up to the sign of its weight, in X_jk and in the coefficients
+        of u_j - u_k, and no two rows agree up to sign."""
+        orbits = Orbits(sym or rotation_symmetry(cfg), cfg.count)
+        (j, k), gather, weights, coeffs = pair_rows(cfg, orbits)
+        x, g = cfg.positions, cfg.circulations
+        keys = np.column_stack([x[j] - x[k], coeffs])
+        for i, r in enumerate(orbits.reps):
+            others = [q for q in range(cfg.count) if q != r]
+            for q, p, w in zip(others, gather[i], weights[i, :, 0]):
+                sign = w / g[q]
+                want = np.zeros(orbits.reps.size, dtype=complex)
+                want[orbits.source[r]] += orbits.coef[r]
+                want[orbits.source[q]] -= orbits.coef[q]
+                assert abs(sign) == 1.0
+                assert np.allclose(sign * keys[p], np.r_[x[r] - x[q], want], atol=1e-12)
+        for a in range(len(keys)):
+            for b in range(a):
+                for sign in (1.0, -1.0):
+                    assert not np.allclose(keys[a], sign * keys[b], atol=1e-12)
+
     def test_lone_filament(self):
         cfg = VortexConfig(
             positions=np.array([0.5 + 0.2j]),
@@ -576,6 +610,35 @@ class TestEnergies:
         phi = gaussian_profile(GRID)
         assert energies(dilation_state(TRIANGLE, phi)).vw_norms is None
         assert energies(dilation_state(SQUARE, phi)).vw_norms is not None
+
+    @staticmethod
+    def pinched_square(gap):
+        """The unit square on KERNEL_GRID with u_0 = -(X_0 - X_1)(1 - gap) at
+        sigma = 0 and every other sample 0: |Psi_01(0)| = gap |X_01|."""
+        x = SQUARE.positions
+        u = np.zeros((4, KERNEL_GRID.num_points), dtype=complex)
+        u[0, KERNEL_GRID.nodes == 0.0] = -(x[0] - x[1]) * (1.0 - gap)
+        return filament_state([make_field(KERNEL_GRID, v) for v in u], SQUARE)
+
+    def test_collision_below_the_density_resolution_raises(self):
+        """A separation filament_state resolves but the expanded density
+        |X_jk|^2 + 2 Re(conj(X_jk) u_jk) + |u_jk|^2 rounds to <= 0 is a
+        collision of energies() itself, raised before the log is taken."""
+        state = self.pinched_square(2.0**-40)
+        sep, sigma, pair = min_separation_field(state)
+        assert 0.0 < sep < 1e-11 and (sigma, pair) == (0.0, (0, 1))
+        with pytest.raises(CollisionDetected) as info:
+            energies(state)
+        assert (info.value.time, info.value.sigma, info.value.pair) == (0.0, 0.0, (0, 1))
+
+    def test_log_stays_finite_near_a_collision(self):
+        """At ratio |Psi_01|^2/|X_01|^2 = 2^-40 the pair log is about -27.7
+        and the report is finite and equal to the ordered reference."""
+        rep = assert_report_matches_ordered(self.pinched_square(2.0**-20))
+        assert all(math.isfinite(v) for v in (rep.H, rep.I, rep.E))
+        # the expanded density resolves the gap 2^-20 |X_01| to about 1e-4
+        gap = 2.0**-20 * abs(SQUARE.positions[0] - SQUARE.positions[1])
+        assert rep.min_sep == pytest.approx(gap, rel=1e-3)
 
 
 class TestSquareIdentity:

@@ -45,15 +45,17 @@ Covered here:
     point-vortex run and an oversized config.N exit 2 before they allocate,
     a bad sweep and a bad c2 exit 2 alike with no status.json, so does a
     sweep with equal ends, a scale
-    beyond [1e-100, 1e100] exits 2 with no file, a collision
+    beyond [1e-100, 1e100] (grid.L and perturbation.width included) exits 2
+    with no file while Gaussian bumps inside it warn nothing, a collision
     refuses a perturbation, a reduced run refuses two profiles and
     parallelogram data, and a square refuses a file of three fields,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module,
   * the source: no module guards with an assert statement (one pinned
     exception), every import of a package module is read there,
-    every module-level constant is read somewhere, and every default of a
-    module-level function is overridden at some call.
+    every module-level constant is read somewhere, every default of a
+    module-level function is overridden at some call, and the public
+    functions no package module loads stay within a frozen list.
 """
 
 import ast
@@ -895,6 +897,57 @@ class TestScenarioRuns:
 # command line
 # ---------------------------------------------------------------------------
 
+class TestLengthScales:
+    """grid.L and perturbation.width share the schema's scale range
+    [1e-100, 1e100]: beyond it a run exits 2 naming the field, and inside
+    it a Gaussian exponent past the float range is a zero sample, not a
+    RuntimeWarning (which the suite turns into a failure)."""
+
+    @pytest.mark.parametrize(
+        "command,section,value",
+        [("collision", {"grid": {"L": 1e200}}, "grid.L"),
+         ("reduced", {"grid": {"L": 1e308}}, "grid.L"),
+         ("square", {"grid": {"L": 1e101}}, "grid.L"),
+         ("square", {"perturbation": {"width": 1e-300}}, "perturbation.width"),
+         ("reduced", {"perturbation": {"width": 1e-101}}, "perturbation.width")],
+        ids=["collision-L", "reduced-L-max", "square-L", "square-width", "reduced-width"],
+    )
+    def test_beyond_the_bounds_exits_2(self, tmp_path, capsys, command, section, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(section))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error at {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario,data,status",
+        [("reduced", {"perturbation": {"center": 1e300}}, "Completed"),
+         ("reduced", {"perturbation": {"center": -1e100, "width": 1e-100}}, "Completed"),
+         ("reduced", {"perturbation": {"kind": "dilation", "center": -1e100, "width": 1e-100}},
+          "Completed"),
+         ("square", {"perturbation": {"kind": "dilation", "center": -1e100, "width": 1e-100}},
+          "Completed"),
+         ("square", {"grid": {"L": 1e100}, "perturbation": {"width": 1e-100}}, "Completed"),
+         ("square", {"grid": {"L": 1e100}, "perturbation": {"kind": "parallelogram",
+                                                           "width": 1e-100}}, "Completed"),
+         ("reduced", {"grid": {"L": 1e100}}, "Completed"),
+         ("reduced", {"grid": {"L": 1e-100}}, "BoundaryContaminated"),
+         ("square", {"grid": {"L": 1e-100}}, "BoundaryContaminated"),
+         ("collision", {"grid": {"L": 1e-100}}, "BoundaryContaminated"),
+         ("helix", {"grid": {"L": 1e-100}}, "Completed"),
+         ("helix", {"grid": {"L": 1e100}}, "NumericalGuard")],
+        ids=["reduced-far-center", "reduced-narrow", "reduced-narrow-dilation",
+             "square-narrow-dilation", "square-narrow-wide-box", "parallelogram-narrow-wide-box",
+             "reduced-L-max", "reduced-L-min", "square-L-min", "collision-L-min", "helix-L-min", "helix-L-max"],
+    )
+    def test_inside_the_bounds_ends_on_its_own_status(self, tmp_path, scenario, data, status):
+        data = {**data, "grid": {"M": 256, **data.get("grid", {})}, "time": {"T": 0.05}}
+        report = run(parse_config_dict(data, scenario), tmp_path)
+        assert report.status == status
+        assert report.exit_code == EXIT_CODES[status]
+
+
 class TestCli:
     def test_stability_exit_zero(self, tmp_path):
         assert main(["stability", "--out", str(tmp_path)]) == 0
@@ -1463,3 +1516,38 @@ def test_every_default_is_set():
                     passed.add((fn, arg))
     assert sorted(f"{where} {fn}({arg}=)" for (fn, arg), (_, where) in defaults.items()
                   if (fn, arg) not in passed) == []
+
+
+def test_test_only_api_only_shrinks():
+    """The module-level public functions of the package whose name no module
+    of the package loads are reached only from tests or perfbench.  That
+    set may lose members (a run that reports an identity takes its helper
+    off the list) but never gain one."""
+    frozen = {
+        "config.parse_config",
+        "filaments.check_Lv_vanishes", "filaments.coercivity_check",
+        "filaments.collision_initial_state", "filaments.evolve",
+        "filaments.growth_monitors", "filaments.hexagon_energy_identity",
+        "filaments.interaction_rhs", "filaments.max_pair_norm",
+        "filaments.segment_energy_identity", "filaments.square_energy_identity",
+        "filaments.vw_decompose", "filaments.zero_perturbations",
+        "grid.boundary_deviation", "grid.constant_field", "grid.linear_propagate",
+        "point_vortex.config_rhs", "point_vortex.invariants",
+        "reduced.boost_trajectory", "reduced.check_ginzburg",
+        "reduced.collision_modulus_bound", "reduced.compare_energies",
+        "reduced.evolve_bm", "reduced.galilean_boost",
+        "reduced.reconstruct_filaments", "reduced.step_bm",
+        "traveling_wave.a_of", "traveling_wave.gp_soliton", "traveling_wave.wronskian",
+    }
+    public, loaded = set(), set()
+    for path, tree in _source_trees(os.path.dirname(vfsim.__file__)):
+        module = os.path.basename(path)[:-3]
+        public |= {(module, node.name) for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    found = {f"{module}.{name}" for module, name in public if name not in loaded}
+    assert sorted(found - frozen) == []
