@@ -146,11 +146,15 @@ def pair_rows(cfg: VortexConfig, orbits: Orbits):
     def close(a: tuple, b: tuple, sign: float) -> bool:
         return all(abs(p - sign * q) <= tol for p, q in zip(a, b))
 
-    rows, keys, gather, weights = [], [], [], []
+    # only rows over the same representatives (-1: an orbit with u = 0)
+    # can match
+    rows, keys, buckets, gather, weights = [], [], {}, [], []
     for r in reps.tolist():
         for k in (k for k in range(n) if k != r):
             rk = key(r, k)
-            for d in range(len(rows)):
+            ends = sorted(source[q] if coef[q] else -1 for q in (r, k))
+            bucket = buckets.setdefault(tuple(ends), [])
+            for d in bucket:
                 if close(rk, keys[d], 1.0):
                     sign = 1.0
                     break
@@ -161,6 +165,7 @@ def pair_rows(cfg: VortexConfig, orbits: Orbits):
                 d, sign = len(rows), 1.0 if r < k else -1.0
                 rows.append((min(r, k), max(r, k)))
                 keys.append(tuple(sign * q for q in rk))
+                bucket.append(d)
             gather.append(d)
             weights.append(sign * g[k])
 

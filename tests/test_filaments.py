@@ -464,19 +464,27 @@ class TestPairLayout:
         )
 
     @pytest.mark.parametrize(
-        "cfg,sym",
-        [(polygon_config(n, 1.0, 1.0, center_circulation=c), None)
+        "cfg,tag",
+        [(polygon_config(n, 1.0, 1.0, center_circulation=c), tag)
+         for tag in (rotation_symmetry, None)
          for n in range(2, 13) for c in (None, -1.0)]
-        + [(SQUARE, point_reflection())],
-        ids=[f"C{n}" + ("+center" if c else "") for n in range(2, 13) for c in (None, -1.0)]
+        + [(SQUARE, lambda cfg: point_reflection())],
+        ids=[("C" if tag else "untagged-") + f"{n}" + ("+center" if c else "")
+             for tag in (rotation_symmetry, None)
+             for n in range(2, 13) for c in (None, -1.0)]
         + ["point-reflection"],
     )
-    def test_pair_rows_are_the_distinct_keys(self, cfg, sym):
+    def test_pair_rows_are_the_distinct_keys(self, cfg, tag):
         """Each ordered pair (r, k) of a representative is its gathered
         row up to the sign of its weight, in X_jk and in the coefficients
-        of u_j - u_k, and no two rows agree up to sign."""
-        orbits = Orbits(sym or rotation_symmetry(cfg), cfg.count)
+        of u_j - u_k, and no two rows agree up to sign.  Untagged data
+        keep every unordered pair as its own row."""
+        orbits = Orbits(tag and tag(cfg), cfg.count)
         (j, k), gather, weights, coeffs = pair_rows(cfg, orbits)
+        if tag is None:
+            assert list(zip(j, k)) == [
+                (a, b) for a in range(cfg.count) for b in range(a + 1, cfg.count)
+            ]
         x, g = cfg.positions, cfg.circulations
         keys = np.column_stack([x[j] - x[k], coeffs])
         for i, r in enumerate(orbits.reps):
