@@ -42,8 +42,6 @@ class BoundaryContaminated(VfsimError):
 
     def __init__(self, time: float, deviation: float, tol: float):
         self.time = time
-        self.deviation = deviation
-        self.tol = tol
         super().__init__(
             f"boundary deviation {deviation:.3e} exceeded tolerance {tol:.3e} "
             f"at t={time:.6g}"
@@ -93,7 +91,6 @@ class ZeroModulus(VfsimError):
 
     def __init__(self, min_mod: float, floor: float, time: float | None = None):
         self.min_mod = min_mod
-        self.floor = floor
         self.time = time
         when = "" if time is None else f" at t={time:.6g}"
         super().__init__(f"min |Phi| = {min_mod:.3e} below floor {floor:.3e}{when}")
@@ -111,9 +108,6 @@ class GinzburgViolated(VfsimError):
     """
 
     def __init__(self, energy: float, sup_dev: float, eta1: float):
-        self.energy = energy
-        self.sup_dev = sup_dev
-        self.eta1 = eta1
         super().__init__(
             f"energy {energy:.3e} is below eta1 {eta1:.3e} but the modulus "
             f"deviation {sup_dev:.3e} exceeds 1/4"
@@ -128,17 +122,10 @@ class NoRoot(VfsimError):
     """A bracketing root search found no sign change."""
 
 
-class NotMonotone(VfsimError):
-    """A function required to be monotone for root isolation is not."""
-
-
 class EtaEscaped(VfsimError):
     """The wave amplitude left its invariant interval during integration."""
 
     def __init__(self, sigma: float, value: float, ceiling: float):
-        self.sigma = sigma
-        self.value = value
-        self.ceiling = ceiling
         super().__init__(
             f"eta = {value:.6g} outside [0, {ceiling:.6g}] at sigma = {sigma:.6g}"
         )

@@ -330,12 +330,7 @@ def _spectrum_with_deflated_kernel(jac: np.ndarray) -> np.ndarray:
     sq = jac @ jac
     u_all, s, vt = np.linalg.svd(sq)
     del u_all
-    smax = s[0]
-    if smax == 0.0:
-        return np.zeros(n, dtype=complex)
-    ker_dim = int(np.sum(s < 1e-8 * smax))
-    if ker_dim == 0:
-        return np.linalg.eigvals(jac)
+    ker_dim = int(np.sum(s < 1e-8 * s[0]))
     kernel = vt[n - ker_dim:].T
     q, _ = np.linalg.qr(np.column_stack([kernel, np.eye(n)]))
     w = q[:, ker_dim:n]

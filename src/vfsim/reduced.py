@@ -197,10 +197,35 @@ def _require_floor(mod_sq: np.ndarray, floor: float, time: float) -> None:
         raise ZeroModulus(low, floor, time)
 
 
-def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
-            delta_mod: float, boundary_tol: float):
-    """Yield the states at the start, every ``sample_every`` steps and the
-    end, each as the split-step loop produces it."""
+def step_bm(state: PhiState, dt: float, delta_mod: float = DELTA_MOD) -> PhiState:
+    """One Strang step of the evolve_bm loop, without the boundary guard."""
+    *_, (last, _) = evolve_bm_samples(state, dt, dt, 1, delta_mod, np.inf)
+    return last
+
+
+def evolve_bm_samples(
+    state: PhiState,
+    T: float,
+    dt: float,
+    sample_every: int = 10,
+    delta_mod: float = DELTA_MOD,
+    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
+):
+    """Yield (state, energy_sample(state)) at each sample of ``evolve_bm``.
+
+    Each step is L(h/2) N(h) L(h/2), run by the split-step loop
+    ``grid._split_steps``: L the exact Fourier propagator, N the exact
+    nonlinear flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1)), which keeps
+    |Phi| fixed.  Between samples the L(h/2) closing a step and the one
+    opening the next are fused into one L(h), so the field leaves Fourier
+    space only at the midpoints N acts on and at the samples.  The samples
+    arrive one at a time as the loop reaches them, so a caller that keeps
+    only what it needs of each holds one state at a time, whatever the
+    number of samples.  A guard raises as in ``evolve_bm``, after the
+    samples before it have been yielded.  Raises ValueError for dt <= 0 or
+    sample_every < 1.
+    """
+    n_steps, h = _step_plan(T, dt, sample_every)
     phi, omega = state.phi, state.omega
     grid, bg = phi.grid, phi.background
     floor = delta_mod if omega != 0.0 else 0.0
@@ -219,7 +244,7 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
         v *= rotation
         v -= bg
 
-    yield state
+    yield state, energy_sample(state)
     for time, rows, halt in _split_steps(
         grid, (phi.values - bg)[None, :], -1j * grid.wavenumbers[None, :] ** 2,
         state.time, n_steps, h, sample_every, boundary_tol if bg != 0.0 else np.inf,
@@ -231,34 +256,8 @@ def _strang(state: PhiState, n_steps: int, h: float, sample_every: int,
         if halt is not None:
             raise halt
         rows[0] = v - bg  # the next step opens from the stored field
-        yield PhiState(ComplexField(grid, v, bg), omega, time)
-
-
-def step_bm(state: PhiState, dt: float, delta_mod: float = DELTA_MOD) -> PhiState:
-    """One Strang step of the evolve_bm loop, without the boundary guard."""
-    *_, last = _strang(state, 1, dt, 1, delta_mod, np.inf)
-    return last
-
-
-def evolve_bm_samples(
-    state: PhiState,
-    T: float,
-    dt: float,
-    sample_every: int = 10,
-    delta_mod: float = DELTA_MOD,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-):
-    """Yield (state, energy_sample(state)) at each sample of ``evolve_bm``.
-
-    The samples arrive one at a time as the loop reaches them, so a caller
-    that keeps only what it needs of each holds one state at a time,
-    whatever the number of samples.  A guard raises as in ``evolve_bm``,
-    after the samples before it have been yielded.  Raises ValueError for
-    dt <= 0 or sample_every < 1.
-    """
-    n_steps, h = _step_plan(T, dt, sample_every)
-    for s in _strang(state, n_steps, h, sample_every, delta_mod, boundary_tol):
-        yield s, energy_sample(s)
+        sample = PhiState(ComplexField(grid, v, bg), omega, time)
+        yield sample, energy_sample(sample)
 
 
 def evolve_bm(
@@ -271,18 +270,12 @@ def evolve_bm(
 ) -> tuple[list[PhiState], list[EnergySample]]:
     """Evolve for time T by Strang splitting, recording states and energies.
 
-    Each step is L(h/2) N(h) L(h/2), run by the split-step loop
-    ``grid._split_steps``: L the exact Fourier propagator, N the exact
-    nonlinear flow Phi -> Phi exp(i omega h (1/|Phi|^2 - 1)), which keeps
-    |Phi| fixed.  Between samples the L(h/2) closing a step and the one
-    opening the next are fused into one L(h), so the field leaves Fourier
-    space only at the midpoints N acts on and at the samples: t = 0, every
-    ``sample_every`` steps, and the final time.  The run raises ZeroModulus
+    This collects ``evolve_bm_samples``, whose split-step loop samples t = 0,
+    every ``sample_every`` steps and the final time.  The run raises ZeroModulus
     when a midpoint or a sample falls below the modulus floor or holds a NaN
     (omega = 0 has no floor), and BoundaryContaminated when the end nodes,
     read off the spectrum after every step, leave the background (skipped
-    for background-0 fields such as boosted profiles).  This collects
-    ``evolve_bm_samples``, which yields the samples one at a time.
+    for background-0 fields such as boosted profiles).
     """
     samples = list(evolve_bm_samples(state, T, dt, sample_every, delta_mod, boundary_tol))
     return [s for s, _ in samples], [e for _, e in samples]

@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     EtaEscaped,
     NoRoot,
-    NotMonotone,
     NumericalGuard,
     ZeroModulus,
 )
@@ -171,15 +170,15 @@ def find_sigma1(params: WaveParams) -> float:
     """Smallest positive root of a: the float where b changes sign,
     b(sigma1) <= 0 < b(the float below sigma1), bisected on (0, sigma0].
 
-    b must be strictly decreasing on 201 samples of [0, sigma0] (NotMonotone
-    otherwise) and <= 0 at sigma0 (NoRoot otherwise); b(0) = 2 omega - c^2 > 0.
+    b = (2 omega - c^2) - 4 omega sum_{m>=1} eta^m / ((m+1)(m+2)) starts at
+    b(0) = 2 omega - c^2 > 0, and with omega > 0 every series term it takes
+    away grows with eta, so b strictly decreases on [0, 1) and has at most
+    one root there.  b must be <= 0 at sigma0 (NoRoot otherwise).
     """
     s0 = params.sigma0
-    samples = b_of(np.linspace(0.0, s0, 201), params)
-    if np.any(np.diff(samples) >= 0.0):
-        raise NotMonotone(f"b is not strictly decreasing on [0, {s0:.6g}]")
-    if samples[-1] > 0.0:
-        raise NoRoot(f"b({s0:.6g}) = {samples[-1]:.6g} > 0: no bracketed root")
+    b_end = b_of(s0, params)
+    if b_end > 0.0:
+        raise NoRoot(f"b({s0:.6g}) = {b_end:.6g} > 0: no bracketed root")
     return _bisect(lambda eta: _b_scalar(eta, params), 0.0, s0)
 
 

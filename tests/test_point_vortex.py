@@ -15,6 +15,7 @@ import pytest
 from vfsim.errors import InvalidPolygon, NearCollision, NumericalGuard
 from vfsim.point_vortex import (
     VortexConfig,
+    _spectrum_with_deflated_kernel,
     config_rhs,
     integrate,
     invariants,
@@ -261,3 +262,18 @@ class TestLinearStability:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidPolygon):
             linear_stability(2, 1.0)
+
+    def test_zero_matrix_spectrum_is_exact_zeros(self):
+        eig = _spectrum_with_deflated_kernel(np.zeros((6, 6)))
+        assert eig.shape == (6,) and np.all(eig == 0.0)
+
+    def test_spectrum_without_kernel(self):
+        # no kernel to split off: the rotation block gives +-2i, the rest 1, 3
+        jac = np.zeros((4, 4))
+        jac[:2, :2] = [[0.0, -2.0], [2.0, 0.0]]
+        jac[2:, 2:] = np.diag([1.0, 3.0])
+        eig = _spectrum_with_deflated_kernel(jac)
+        expected = np.array([-2j, 2j, 1.0, 3.0])
+        assert eig.shape == (4,)
+        for lam in expected:
+            assert np.min(np.abs(eig - lam)) <= 1e-12, f"no eigenvalue near {lam}"

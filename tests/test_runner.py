@@ -32,6 +32,8 @@ Covered here:
     symmetry tag and drifts, coincident
     field data exit 3 at t = 0, the collision runs its config's backbone
     (R, N, gamma0),
+    a travelling-wave shot whose step size collapsed ends NumericalGuard
+    with status.json its only file,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, runs at the scale ends (R = 1e-100, Gamma = 1e100)
     end NumericalGuard without a RuntimeWarning, the point-vortex step cap
@@ -53,7 +55,8 @@ Covered here:
     scipy module,
   * the source: no module guards with an assert statement (one pinned
     exception), every import of a package module is read there,
-    every module-level constant is read somewhere, every default of a
+    every module-level constant is read somewhere, every error class is
+    raised and every field it stores read, every default of a
     module-level function is overridden at some call, and the public
     functions no package module loads stay within a frozen list.
 """
@@ -72,7 +75,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vfsim
-from vfsim import _pcg64, filaments, point_vortex, runner
+from vfsim import _pcg64, filaments, point_vortex, runner, traveling_wave
 from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
 from vfsim.config import (
@@ -573,6 +576,24 @@ class TestScenarioRuns:
         assert report.status == "NumericalGuard"
         assert load_status(tmp_path)["files"] == report.files == ["helix_t0.csv", "helix_t1.csv"]
         assert sorted(os.listdir(tmp_path)) == sorted(report.files + ["status.json"])
+
+    def test_collapsed_wave_shot_ends_the_run(self, tmp_path, monkeypatch):
+        """A shot whose step size collapsed raises EtaEscaped: the run ends
+        NumericalGuard with the message in constants.error and no file but
+        status.json."""
+        def collapsed(fun, t0, y0, t_bound, rtol, atol, event=None):
+            shot = traveling_wave._Shot(t0, np.asarray(y0, dtype=float))
+            shot.ok = False
+            return shot
+
+        monkeypatch.setattr(traveling_wave, "_dormand_prince", collapsed)
+        cfg = parse_config_dict({"scenario": "traveling_wave", "grid": {"L": 30.0, "M": 1024}})
+        report = run(cfg, tmp_path)
+        assert (report.status, report.exit_code) == ("NumericalGuard", 6)
+        saved = load_status(tmp_path)
+        assert saved["constants"]["error"].startswith("eta = ")
+        assert saved["files"] == report.files == []
+        assert os.listdir(tmp_path) == ["status.json"]
 
     @pytest.mark.parametrize(
         "kind,name",
@@ -1478,6 +1499,40 @@ def test_every_constant_is_read():
                 reads.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in constants.items()
                   if name not in reads) == []
+
+
+def test_every_error_is_raised_and_read():
+    """Each class of ``errors.py`` is called in another package module or is
+    the base of one that is, and each attribute an error stores on ``self``
+    is loaded somewhere in ``src``, ``tests`` or ``perfbench`` outside
+    ``errors.py``; a message keeps what no caller reads."""
+    package = os.path.dirname(vfsim.__file__)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    errors_py = os.path.join(package, "errors.py")
+    with open(errors_py, encoding="utf-8") as fh:
+        classes = [n for n in ast.parse(fh.read()).body if isinstance(n, ast.ClassDef)]
+    bases = {node.name: {getattr(b, "id", None) for b in node.bases} for node in classes}
+    stores = {
+        sub.attr: f"{node.name}.{sub.attr}" for node in classes for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and getattr(sub.value, "id", None) == "self"
+    }
+    called, loaded = set(), set()
+    dirs = [os.path.join(root, name) for name in ("tests", "perfbench")]
+    for path, tree in _source_trees(os.path.dirname(package), *dirs):
+        if path == errors_py:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and path.startswith(package):
+                called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    used = called & set(bases)
+    for name in reversed(list(bases)):  # each subclass before its bases
+        if name in used:
+            used |= bases[name]
+    assert sorted(set(bases) - used) == []
+    assert sorted(where for attr, where in stores.items() if attr not in loaded) == []
 
 
 def test_every_default_is_set():
