@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON ingestion, validation and presets.
+"""Scenario configuration: JSON ingestion, validation and the scenario table.
 
 A scenario file is a JSON object with a ``scenario`` tag and up to five
 sections::
@@ -19,42 +19,73 @@ and the scales ``R``, ``gamma``, ``omega``, ``c2``, ``L`` and ``width`` lie
 in [1e-100, 1e100] and ``|gamma0|`` <= 1e100.  The reduced, traveling_wave
 and helix scenarios use the ``config`` section for their wave parameters
 (``omega``, ``c2``) instead of a backbone.
-The collision scenario runs its closed-form profile, so a ``perturbation``
-value other than its preset's is a ConfigError on ``perturbation``.
+Each scenario's own rules (the collision's closed-form profile, which
+refuses any ``perturbation`` value off its preset's, say) live in its
+``SCENARIOS`` record, with its preset, CLI flags and run options.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
 from .grid import DEFAULT_BOUNDARY_TOL, MAX_POINTS, MIN_POINTS
 from .filaments import DELTA_MIN, ENERGY_CAP_FACTOR
+from .reduced import collision_state
 from .traveling_wave import WaveParams
 
-# Each scenario's preset: the ScenarioConfig values it changes.  The
-# collision preset pins the exact synchronized-collapse setup: the centered
-# square with opposite center circulation (stationary backbone), the
-# analytic dilation data, a grid just wide enough for the Gaussian profile,
-# and a step small enough to stay faithful until the collision threshold (2
-# percent of the backbone spacing) is crossed.
-_PRESETS = {
-    "point_vortex": dict(T=10.0, dt=1e-3),
-    "stability": dict(kind="polygon", N=8),
-    "reduced": dict(T=5.0),
-    "square": {},
-    "collision": dict(
-        kind="polygon_center", N=4, gamma0=-1.5, pert_kind="dilation",
-        L=20.0, M=512, T=1.05, dt=2.5e-4, sample_every=1000,
-        delta_min=0.02, boundary_tol=1e-6,
-    ),
-    "traveling_wave": dict(L=400.0, M=65536),
+
+class Scenario(NamedTuple):
+    """One scenario's record: every rule that depends on its name."""
+
+    preset: dict  # the ScenarioConfig values it changes
+    acceptance: str | dict  # the acceptance test of its run (by perturbation kind)
+    options: tuple[str, ...] = ()  # the runner.run keywords the run reads
+    flags: tuple[str, ...] = ()  # the file keys a CLI flag sets
+    closed_form: Callable | None = None  # grid -> a state whose phi replaces the perturbation
+    N_range: range | None = None  # the N the run admits
+    tables: Callable | None = None  # (cfg, n, pairs) -> {field that sets it: table size}
+    subsonic: bool = False  # the travelling-wave window on c2
+    max_steps: int | None = None  # the steps a stored path may hold
+
+
+# The scenario table.  The collision preset pins the exact synchronized-
+# collapse setup: the centered square with opposite center circulation
+# (stationary backbone), the analytic dilation data, a grid just wide enough
+# for the Gaussian profile, and a step small enough to stay faithful until
+# the collision threshold (2 percent of the backbone spacing) is crossed.
+# A table is pair rows or helix fields of M points, or point-vortex terms; n counts a centre.
+SCENARIOS = {
+    "point_vortex": Scenario(
+        dict(T=10.0, dt=1e-3), "test_01_point_vortex_invariants", max_steps=MAX_POINTS,
+        tables=lambda cfg, n, pairs: {"config.N": n * pairs,
+                                      "time.T": cfg.T / cfg.dt * max(n, pairs)}),
+    "stability": Scenario(dict(kind="polygon", N=8), "test_02_polygon_stability_threshold",
+                          N_range=range(3, 11)),
+    "reduced": Scenario(dict(T=5.0), "test_05_reduced_energy_conservation",
+                        options=("dump_fields",)),
+    "square": Scenario(
+        {}, {"gaussian": "test_09_energy_cap_window", "dilation": "test_10_product_ansatz",
+             "parallelogram": "test_08_parallelogram_preset", "file": "test_07_square_identities"},
+        options=("dump_fields",), flags=("perturbation.seed",),
+        tables=lambda cfg, n, pairs: {"config.N": pairs * cfg.M}),
+    "collision": Scenario(
+        dict(kind="polygon_center", N=4, gamma0=-1.5, pert_kind="dilation",
+             L=20.0, M=512, T=1.05, dt=2.5e-4, sample_every=1000,
+             delta_min=0.02, boundary_tol=1e-6),
+        "test_04_collision_scenario", options=("dump_fields",), flags=("perturbation.seed",),
+        closed_form=collision_state, tables=lambda cfg, n, pairs: {"config.N": pairs * cfg.M}),
+    "traveling_wave": Scenario(dict(L=400.0, M=65536), "test_06_traveling_waves",
+                               options=("sweep", "out_name"), subsonic=True,
+                               flags=("config.omega", "config.c2", "grid.L", "grid.M")),
     # the helices sit on an N-gon
-    "helix": dict(L=400.0, M=65536, kind="polygon", N=3),
+    "helix": Scenario(dict(L=400.0, M=65536, kind="polygon", N=3), "test_06_traveling_waves",
+                      subsonic=True, tables=lambda cfg, n, pairs: {"config.N": cfg.N * cfg.M}),
 }
-SCENARIOS = tuple(_PRESETS)
 
 # Each backbone kind: the vertex count it fixes (None: config.N sets it) and
 # whether a centre filament joins the vertices.
@@ -191,15 +222,15 @@ SCHEMA = _schema()
 def scenario_defaults(scenario: str) -> ScenarioConfig:
     """The preset configuration each scenario starts from."""
     if scenario not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
-    return ScenarioConfig(scenario=scenario, **_PRESETS[scenario])
+        raise ConfigError("scenario", f"must be one of {tuple(SCENARIOS)}, got {scenario!r}")
+    return ScenarioConfig(scenario=scenario, **SCENARIOS[scenario].preset)
 
 
 def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig:
     """Validate a parsed JSON object and fill scenario defaults.
 
     Each key goes through its SCHEMA parser; the rules that tie fields
-    together are checked after that pass.
+    together, the scenario's own from its record, are checked after that.
     """
     if not isinstance(data, dict):
         raise ConfigError("", f"top level must be a JSON object, got {type(data).__name__}")
@@ -212,6 +243,7 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             "scenario", f"file says {tag!r} but the subcommand implies {scenario!r}"
         )
     cfg = scenario_defaults(tag)
+    record = SCENARIOS[tag]
     cfg.raw = data
     for name, keys in SCHEMA.items():
         sec = data.get(name, {})
@@ -222,37 +254,25 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
             attr, parse = keys[key]
             setattr(cfg, attr, parse(value, f"{name}.{key}"))
 
-    if tag == "collision":
-        # the collision carries the closed-form profile; its echo restates
-        # the preset's perturbation, which reads back unchanged
+    if record.closed_form is not None:
+        # the run carries its closed-form profile; its echo restates the
+        # preset's perturbation, which reads back unchanged
         preset = scenario_defaults(tag)
         for key, (attr, _) in SCHEMA["perturbation"].items():
             if getattr(cfg, attr) != getattr(preset, attr):
-                raise ConfigError(
-                    "perturbation",
-                    f"the collision scenario runs the closed-form collision "
-                    f"profile and takes no perturbation, got {key}={getattr(cfg, attr)!r}",
-                )
+                raise ConfigError("perturbation", f"the {tag} scenario runs the closed-form "
+                                  f"{tag} profile and takes no perturbation, got "
+                                  f"{key}={getattr(cfg, attr)!r}")
     fixed, center = BACKBONE_KINDS[cfg.kind]
     if fixed is not None:
         if "N" not in data.get("config", {}):
             cfg.N = fixed
         elif cfg.N != fixed:
             raise ConfigError("config.N", f"kind {cfg.kind!r} fixes N={fixed}, got {cfg.N}")
-    if tag == "stability" and not 3 <= cfg.N <= 10:
-        raise ConfigError("config.N", f"the stability sweep covers N = 3..10, got {cfg.N}")
-    # a filament run holds n(n - 1)/2 pair rows of M points (n counts a
-    # centre) and a helix N fields of M; either stays within the largest table
-    # the grid bound admits, the square's 6 pair rows at M = MAX_POINTS
-    n = cfg.N + center
-    pairs = n * (n - 1) // 2
-    rows = {"square": pairs, "collision": pairs, "helix": cfg.N}
-    if rows.get(tag, 0) * cfg.M > 6 * MAX_POINTS:
-        raise ConfigError(
-            "config.N", f"N = {cfg.N} makes {rows[tag]} rows of M = {cfg.M} points; "
-            f"rows x M must be <= {6 * MAX_POINTS}",
-        )
-    if tag in ("traveling_wave", "helix"):
+    if record.N_range and cfg.N not in record.N_range:
+        raise ConfigError("config.N", f"the {tag} sweep covers N = {record.N_range[0]}.."
+                          f"{record.N_range[-1]}, got {cfg.N}")
+    if record.subsonic:
         _require_subsonic(cfg.c2, cfg.omega, "config.c2")
     if cfg.M % 2 != 0:
         raise ConfigError("grid.M", f"must be even, got {cfg.M}")
@@ -265,19 +285,18 @@ def parse_config_dict(data: dict, scenario: str | None = None) -> ScenarioConfig
         )
     if cfg.dt > cfg.T:
         raise ConfigError("time.dt", f"dt={cfg.dt} exceeds T={cfg.T}")
-    # a point-vortex run stores its whole path, one row per step
-    if tag == "point_vortex" and not cfg.T / cfg.dt <= MAX_POINTS:
-        raise ConfigError(
-            "time.T", f"T/dt = {cfg.T / cfg.dt:.6g} steps, more than the {MAX_POINTS} "
-            "a point-vortex path may store",
-        )
-    # and holds an n x n(n - 1)/2 velocity matrix and max(n, n(n - 1)/2)
-    # invariant terms per step, within the filament tables' bound
-    tables = {"config.N": n * pairs, "time.T": cfg.T / cfg.dt * max(n, pairs)}
-    for where, size in tables.items():
-        if tag == "point_vortex" and not size <= 6 * MAX_POINTS:
-            raise ConfigError(where, f"N = {cfg.N} and T/dt = {cfg.T / cfg.dt:.6g} make "
-                              f"a point-vortex table of {size:.6g} > {6 * MAX_POINTS} entries")
+    if record.max_steps is not None and not cfg.T / cfg.dt <= record.max_steps:
+        raise ConfigError("time.T", f"T/dt = {cfg.T / cfg.dt:.6g} steps, more than the "
+                          f"{record.max_steps} a {tag} path may store")
+    # every table stays within the largest the grid bound admits, the
+    # square's 6 pair rows at M = MAX_POINTS
+    n = cfg.N + center
+    pairs = n * (n - 1) // 2
+    for where, size in (record.tables(cfg, n, pairs) if record.tables else {}).items():
+        if not size <= 6 * MAX_POINTS:
+            raise ConfigError(where, f"N = {cfg.N}, M = {cfg.M} and T/dt = {cfg.T / cfg.dt:.6g} "
+                              f"make a {tag} table of {size:.6g} entries; it must be <= "
+                              f"{6 * MAX_POINTS}")
     return cfg
 
 

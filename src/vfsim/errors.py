@@ -123,12 +123,13 @@ class NoRoot(VfsimError):
 
 
 class EtaEscaped(VfsimError):
-    """The wave amplitude left its invariant interval during integration."""
+    """The wave amplitude left its invariant interval [0, ceiling] during
+    integration, or (ceiling None) the shot's step size collapsed at sigma."""
 
-    def __init__(self, sigma: float, value: float, ceiling: float):
-        super().__init__(
-            f"eta = {value:.6g} outside [0, {ceiling:.6g}] at sigma = {sigma:.6g}"
-        )
+    def __init__(self, sigma: float, value: float, ceiling: float | None):
+        where = "" if ceiling is None else f" outside [0, {ceiling:.6g}]"
+        why = ": the step size collapsed" if ceiling is None else ""
+        super().__init__(f"eta = {value:.6g}{where} at sigma = {sigma:.6g}{why}")
 
 
 class BoundViolated(VfsimError):

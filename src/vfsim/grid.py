@@ -295,15 +295,13 @@ def derivative(f: ComplexField, order: int = 1) -> ComplexField:
     return ComplexField(grid=f.grid, values=np.fft.ifft(spec), background=0.0)
 
 
-def quad_trapezoid(grid: Grid1D, samples: np.ndarray) -> complex | float:
-    """Periodic trapezoid rule h * sum(g_i); exact degree of an FFT grid.
-
-    Returns a float for real input, complex otherwise.
+def quad_trapezoid(grid: Grid1D, samples: np.ndarray) -> float:
+    """Periodic trapezoid rule h * sum(g_i) on real samples; exact degree of
+    an FFT grid.  Complex samples are a TypeError, not cut to their real part.
     """
-    total = grid.spacing * np.sum(samples)
     if np.iscomplexobj(samples):
-        return complex(total)
-    return float(total)
+        raise TypeError("quad_trapezoid takes real samples")
+    return float(grid.spacing * np.sum(samples))
 
 
 def shift_field(f: ComplexField, displacement: float) -> ComplexField:

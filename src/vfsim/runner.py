@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import BACKBONE_KINDS, SCHEMA, ScenarioConfig, _require_subsonic, config_echo
+from .config import (BACKBONE_KINDS, SCENARIOS, SCHEMA, ScenarioConfig, _require_subsonic,
+                     config_echo)
 from .errors import (
     BoundaryContaminated,
     CollisionDetected,
@@ -60,7 +61,7 @@ from .point_vortex import (
     polygon_config,
     write_trajectory_csv,
 )
-from .reduced import PhiState, collision_state, evolve_bm_samples, write_energy_csv
+from .reduced import PhiState, evolve_bm_samples, write_energy_csv
 from .symmetry import point_reflection
 from .traveling_wave import (
     WaveParams,
@@ -93,22 +94,6 @@ EXIT_CODES = {
     "EnergyCapExceeded": 4,
     "BoundaryContaminated": 5,
     "NumericalGuard": 6,
-}
-
-# Which acceptance test each scenario (or scenario + perturbation)
-# exercises; recorded in the report so a run points back at the check
-# that pins its expected behaviour.
-_ACCEPTANCE = {
-    "point_vortex": "test_01_point_vortex_invariants",
-    "stability": "test_02_polygon_stability_threshold",
-    "reduced": "test_05_reduced_energy_conservation",
-    "collision": "test_04_collision_scenario",
-    "traveling_wave": "test_06_traveling_waves",
-    "helix": "test_06_traveling_waves",
-    ("square", "gaussian"): "test_09_energy_cap_window",
-    ("square", "dilation"): "test_10_product_ansatz",
-    ("square", "parallelogram"): "test_08_parallelogram_preset",
-    ("square", "file"): "test_07_square_identities",
 }
 
 
@@ -157,14 +142,16 @@ def _versions() -> dict:
 
 
 def _base_report(cfg: ScenarioConfig) -> RunReport:
+    acceptance = SCENARIOS[cfg.scenario].acceptance
+    if isinstance(acceptance, dict):
+        acceptance = acceptance.get(cfg.pert_kind, "")
     return RunReport(
         status="Completed",
         exit_code=EXIT_CODES["Completed"],
         scenario=cfg.scenario,
         config=config_echo(cfg),
         versions=_versions(),
-        acceptance=_ACCEPTANCE.get((cfg.scenario, cfg.pert_kind),
-                                   _ACCEPTANCE.get(cfg.scenario, "")),
+        acceptance=acceptance,
     )
 
 
@@ -175,12 +162,10 @@ def _check_files(out_dir, names: list) -> None:
             raise VfsimError(f"output file {name} missing or empty")
 
 
-def write_status(out_dir, report: RunReport) -> str:
-    path = os.path.join(out_dir, "status.json")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+def write_status(out_dir, report: RunReport) -> None:
+    with open(os.path.join(out_dir, "status.json"), "w", encoding="ascii", newline="\n") as fh:
         json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +239,20 @@ def _gaussian_profile(cfg: ScenarioConfig, grid: Grid1D) -> np.ndarray:
 def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
     """Initial perturbations for the full N-filament system.
 
-    The collision scenario carries the closed-form collision profile
-    (``reduced.collision_state`` at t = 0) as dilation data on the
-    config's backbone (config parsing rejects any other perturbation).  Otherwise
-    ``gaussian`` draws an independent random bump profile per filament
-    (generic data, scale ``amp``); ``dilation`` is the shared-profile
-    ansatz u_j = X_j (phi - 1) with phi a Gaussian bump on background 1
-    (tagged C_N on a regular polygon, see ``dilation_state``);
-    ``parallelogram`` seeds the antisymmetric square pattern
-    (g_a, g_b, -g_a, -g_b), tagged with the point reflection
-    u_{j+2} = -u_j; ``file`` reads previously dumped fields.
+    A scenario whose record holds a closed form (the collision's
+    ``reduced.collision_state`` at t = 0) carries its profile as dilation
+    data on the config's backbone.  Otherwise ``gaussian`` draws an
+    independent random bump profile per filament (generic data, scale
+    ``amp``); ``dilation`` is the shared-profile ansatz u_j = X_j (phi - 1)
+    with phi a Gaussian bump on background 1 (tagged C_N on a regular
+    polygon, see ``dilation_state``); ``parallelogram`` seeds the
+    antisymmetric square pattern (g_a, g_b, -g_a, -g_b), tagged with the
+    point reflection u_{j+2} = -u_j; ``file`` reads previously dumped fields.
     """
     vortex = build_backbone(cfg)
-    if cfg.scenario == "collision":
-        return dilation_state(vortex, collision_state(grid).phi)
+    closed_form = SCENARIOS[cfg.scenario].closed_form
+    if closed_form is not None:
+        return dilation_state(vortex, closed_form(grid).phi)
     if cfg.pert_kind in ("gaussian", "parallelogram"):
         # imported on use: only the seeded kinds compile the stream
         from ._pcg64 import SeededUniform
@@ -297,7 +282,7 @@ def build_filament_state(cfg: ScenarioConfig, grid: Grid1D) -> FilamentState:
 # per-scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_point_vortex(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
+def _run_point_vortex(cfg: ScenarioConfig, out_dir, report: RunReport) -> None:
     vortex = build_backbone(cfg)
     traj = integrate(vortex, cfg.T, cfg.dt)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -307,9 +292,9 @@ def _run_point_vortex(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fiel
         report.constants[f"drift_{key}"] = _drift(series)
 
 
-def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
+def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport) -> None:
     rows = []
-    for n in range(3, 11):
+    for n in SCENARIOS[cfg.scenario].N_range:
         eigs, verdict = linear_stability(n, cfg.gamma)
         rows.append((n, float(np.max(eigs.real)), verdict))
     write_csv(os.path.join(out_dir, "stability.csv"),
@@ -318,8 +303,7 @@ def _run_stability(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields:
 
     for n, lam, verdict in rows:
         if n == cfg.N:
-            report.constants["max_re_lambda"] = lam
-            report.constants["verdict"] = verdict
+            report.constants.update(max_re_lambda=lam, verdict=verdict)
 
 
 def _run_reduced(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
@@ -330,10 +314,8 @@ def _run_reduced(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: b
     elif cfg.pert_kind == "file":
         phi = make_field(grid, _read_field_file(cfg.path, grid, 1)[0], background=1.0)
     else:
-        raise ConfigError(
-            "perturbation.kind",
-            f"{cfg.pert_kind!r} data needs the square scenario",
-        )
+        raise ConfigError("perturbation.kind",
+                          f"{cfg.pert_kind!r} data needs the square scenario")
     samples = evolve_bm_samples(
         PhiState(phi=phi, omega=cfg.omega, time=0.0), cfg.T, cfg.dt,
         sample_every=cfg.sample_every,
@@ -509,7 +491,7 @@ def _run_traveling_wave(cfg: ScenarioConfig, out_dir, report: RunReport,
     report.constants["max_box_margin"] = max(row["box_margin"] for row in rows)
 
 
-def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: bool) -> None:
+def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport) -> None:
     grid = make_grid(cfg.L, cfg.M)
     profile = build_wave(WaveParams(omega=cfg.omega, c=math.sqrt(cfg.c2)), grid)
     # nearest lattice wavenumber to sqrt(omega), the stationary-helix pitch
@@ -525,12 +507,14 @@ def _run_helix(cfg: ScenarioConfig, out_dir, report: RunReport, dump_fields: boo
     report.constants.update(_wave_record(profile))
 
 
+# Each scenario's runner; it takes the run options its record lists as keywords.
 _DISPATCH = {
     "point_vortex": _run_point_vortex,
     "stability": _run_stability,
     "reduced": _run_reduced,
     "square": _run_filaments,
     "collision": _run_filaments,
+    "traveling_wave": _run_traveling_wave,
     "helix": _run_helix,
 }
 
@@ -544,18 +528,22 @@ def run(cfg: ScenarioConfig, out_dir, dump_fields: bool = False,
     """Run one scenario, write its files and status.json, return the report.
 
     The scenario runner fills the report made here, listing each file once
-    written.  A guard or error that reaches this function is converted into a
-    fresh report with the matching status and exit code and the files written
-    so far, rather than propagating; the caller turns
+    written.  An option that the scenario's record does not list
+    (``dump_fields`` on a helix, say) ends the run ConfigError before the
+    runner starts.  A guard or error that reaches this function is converted
+    into a fresh report with the matching status and exit code and the files
+    written so far, rather than propagating; the caller turns
     ``report.exit_code`` into the process exit status.
     """
     os.makedirs(out_dir, exist_ok=True)
     report = _base_report(cfg)
+    listed = SCENARIOS[cfg.scenario].options
+    options = {"dump_fields": dump_fields, "sweep": sweep, "out_name": out_name}
     try:
-        if cfg.scenario == "traveling_wave":
-            _run_traveling_wave(cfg, out_dir, report, sweep, out_name)
-        else:
-            _DISPATCH[cfg.scenario](cfg, out_dir, report, dump_fields)
+        for name, value in options.items():
+            if name not in listed and value not in (None, False):
+                raise ConfigError(name, f"the {cfg.scenario} scenario does not read it")
+        _DISPATCH[cfg.scenario](cfg, out_dir, report, **{name: options[name] for name in listed})
         _check_files(out_dir, report.files)
     except VfsimError as exc:
         report = replace(_base_report(cfg), files=report.files)

@@ -344,7 +344,7 @@ def solve_eta(params: WaveParams, grid: Grid1D, sigma1: float | None = None) -> 
     hand-off keeps the shot stable: the second-order form would amplify
     roundoff exponentially over a long box, while the first-order form cannot
     resolve the turning point.  Raises EtaEscaped if the trajectory leaves
-    [0, sigma1] beyond tolerance.
+    [0, sigma1] beyond tolerance or a shot's step size collapses.
     """
     if sigma1 is None:
         sigma1 = find_sigma1(params)
@@ -362,7 +362,7 @@ def solve_eta(params: WaveParams, grid: Grid1D, sigma1: float | None = None) -> 
         second_order, 0.0, (sigma1, 0.0), L, _ODE_RTOL, _ODE_ATOL, event=crossing
     )
     if not shot1.ok:
-        raise EtaEscaped(float(shot1.t), float(shot1.y[0]), sigma1)
+        raise EtaEscaped(float(shot1.t), float(shot1.y[0]), None)
 
     abs_nodes = np.abs(grid.nodes)
     if shot1.t_event is None:
@@ -382,7 +382,7 @@ def solve_eta(params: WaveParams, grid: Grid1D, sigma1: float | None = None) -> 
             log_first_order, s_switch, (np.log(eta_switch),), L, _ODE_RTOL, 1e-12
         )
         if not shot2.ok:
-            raise EtaEscaped(float(shot2.t), float(np.exp(shot2.y[0])), sigma1)
+            raise EtaEscaped(float(shot2.t), float(np.exp(shot2.y[0])), None)
         near = abs_nodes <= s_switch
         eta_abs = np.empty_like(abs_nodes)
         eta_abs[near] = shot1(abs_nodes[near])[0]

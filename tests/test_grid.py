@@ -208,6 +208,12 @@ class TestDerivativeAndQuadrature:
         g = make_grid(10.0, 64)
         assert quad_trapezoid(g, np.ones(64)) == pytest.approx(20.0)
 
+    def test_quadrature_refuses_complex_samples(self):
+        """Complex samples raise instead of losing their imaginary part."""
+        g = make_grid(10.0, 64)
+        with pytest.raises(TypeError, match="real samples"):
+            quad_trapezoid(g, np.ones(64) + 1j)
+
     def test_quadrature_zero(self):
         g = make_grid(10.0, 64)
         assert quad_trapezoid(g, np.zeros(64)) == 0.0

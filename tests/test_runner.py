@@ -33,7 +33,9 @@ Covered here:
     field data exit 3 at t = 0, the collision runs its config's backbone
     (R, N, gamma0),
     a travelling-wave shot whose step size collapsed ends NumericalGuard
-    with status.json its only file,
+    with status.json its only file and says so, a run option that the
+    scenario's record does not list ends ConfigError with status.json its
+    only file,
     config problems discovered at run time map to exit code 2, NaN data
     map to exit code 6, runs at the scale ends (R = 1e-100, Gamma = 1e100)
     end NumericalGuard without a RuntimeWarning, the point-vortex step cap
@@ -41,7 +43,9 @@ Covered here:
   * determinism: rerunning a config gives byte-identical outputs,
   * the traced memory peak of the helix preset,
   * the CLI: exit codes, flag overrides, stderr diagnostics, the
-    traveling-wave file-style --out; flags are validated like file values,
+    traveling-wave file-style --out; each subcommand offers exactly the
+    flags of its scenario record, and a flag its run would not read exits 2
+    with no file; flags are validated like file values,
     and every bad number, flag or field file exits 2 naming its field; a
     supersonic, NaN, oversized or too slow sweep or c2, an oversized
     point-vortex run and an oversized config.N exit 2 before they allocate,
@@ -53,15 +57,21 @@ Covered here:
     parallelogram data, and a square refuses a file of three fields,
   * cold start: importing the CLI and running a travelling wave load no
     scipy module,
+  * the scenario table: its keys, the runner map and the subcommands are
+    one set, and each runner takes its record's options,
   * the source: no module guards with an assert statement (one pinned
-    exception), every import of a package module is read there,
+    exception), no module outside the scenario table and the runner map
+    compares a scenario tag with a literal or keys by a scenario name,
+    every import of a package module is read there,
     every module-level constant is read somewhere, every error class is
     raised and every field it stores read, every default of a
     module-level function is overridden at some call, and the public
     functions no package module loads stay within a frozen list.
 """
 
+import argparse
 import ast
+import inspect
 import json
 import math
 import os
@@ -75,11 +85,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vfsim
-from vfsim import _pcg64, filaments, point_vortex, runner, traveling_wave
+from vfsim import _pcg64, cli, filaments, point_vortex, runner, traveling_wave
 from vfsim._pcg64 import SeededUniform
 from vfsim.cli import main
 from vfsim.config import (
     BACKBONE_KINDS,
+    SCENARIOS,
     SCHEMA,
     ScenarioConfig,
     parse_config_dict,
@@ -592,7 +603,20 @@ class TestScenarioRuns:
         assert (report.status, report.exit_code) == ("NumericalGuard", 6)
         saved = load_status(tmp_path)
         assert saved["constants"]["error"].startswith("eta = ")
+        assert saved["constants"]["error"].endswith(": the step size collapsed")
         assert saved["files"] == report.files == []
+        assert os.listdir(tmp_path) == ["status.json"]
+
+    @pytest.mark.parametrize(
+        "scenario,option",
+        [("helix", {"dump_fields": True}), ("stability", {"sweep": "c2=1.99:1.90:10"}),
+         ("point_vortex", {"out_name": "p.csv"})],
+    )
+    def test_option_the_run_does_not_read_ends_config_error(self, tmp_path, scenario, option):
+        report = run(scenario_defaults(scenario), tmp_path, **option)
+        assert (report.status, report.exit_code, report.files) == ("ConfigError", 2, [])
+        (name,) = option
+        assert report.constants["error"] == f"{name}: the {scenario} scenario does not read it"
         assert os.listdir(tmp_path) == ["status.json"]
 
     @pytest.mark.parametrize(
@@ -1166,6 +1190,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("vfsim: config error at perturbation: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [[command, "--dump-fields"]
+         for command in ("helix", "point-vortex", "stability", "traveling-wave")]
+        + [[command, "--seed", "1"]
+           for command in ("point-vortex", "stability", "reduced", "traveling-wave", "helix")],
+        ids=lambda args: "-".join(args[:2]),
+    )
+    def test_flag_the_run_does_not_read_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {args[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_waves_where_no_midpoint_meets_the_root_tolerance_complete(self, tmp_path):
         out = tmp_path / "w"
         assert main(["traveling-wave", "--omega", "2", "--c2", "3.988", "--out", str(out)]) == 0
@@ -1439,6 +1479,75 @@ def test_no_guard_depends_on_assert():
             f"{name}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Assert) and id(node) not in allowed
         ]
+    assert found == []
+
+
+def test_scenario_table_runners_and_subcommands_are_one_set():
+    """The scenario records, ``runner._DISPATCH`` and the CLI subcommands
+    share one set of names; each subcommand offers exactly its record's
+    flags, and each runner takes exactly its record's run options."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(SCENARIOS) == set(runner._DISPATCH)
+    assert set(SCENARIOS) == {command.replace("-", "_") for command in sub.choices}
+    offered = {
+        command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    common = {"--config", "--out"}
+    assert offered == {
+        "point-vortex": common, "stability": common, "helix": common,
+        "reduced": common | {"--dump-fields"},
+        "square": common | {"--dump-fields", "--seed"},
+        "collision": common | {"--dump-fields", "--seed"},
+        "traveling-wave": common | {"--omega", "--c2", "--L", "--M", "--sweep"},
+    }
+    for name, record in SCENARIOS.items():
+        params = list(inspect.signature(runner._DISPATCH[name]).parameters)
+        assert params == ["cfg", "out_dir", "report", *record.options]
+
+
+def test_no_scenario_tag_outside_the_table():
+    """Outside ``config.SCENARIOS`` and ``runner._DISPATCH``, no package
+    module compares a scenario tag (``cfg.scenario``, ``tag``, ``scenario``)
+    with a string literal, or keys a dict or a lookup by a scenario name.
+    ``BACKBONE_KINDS`` and ``filaments._IDENTITIES`` key shapes, such as the
+    backbone kind "square", not scenarios."""
+    exempt = {"SCENARIOS", "_DISPATCH", "BACKBONE_KINDS", "_IDENTITIES"}
+
+    def is_tag(node):
+        return ((isinstance(node, ast.Name) and node.id in ("tag", "scenario"))
+                or (isinstance(node, ast.Attribute) and node.attr == "scenario"))
+
+    def literals(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return {value for elt in node.elts for value in literals(elt)}
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return {node.value}
+        return set()
+
+    found = []
+    for path, tree in _source_trees(os.path.dirname(vfsim.__file__)):
+        skipped = {
+            id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) in exempt for t in stmt.targets)
+            for node in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                bad = any(map(is_tag, operands)) and any(map(literals, operands))
+            elif isinstance(node, ast.Dict):
+                bad = any(key is not None and literals(key) & set(SCENARIOS)
+                          for key in node.keys)
+            elif isinstance(node, ast.Subscript):
+                bad = bool(literals(node.slice) & set(SCENARIOS))
+            else:
+                continue
+            if bad:
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
     assert found == []
 
 
